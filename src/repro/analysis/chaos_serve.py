@@ -31,31 +31,28 @@ un-served solve. ``repro chaos-serve`` drives this from the CLI and CI
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import socket
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.experiments import ExperimentResult
+from repro.analysis.served import check_served_answers, owned_server
 from repro.exceptions import ReproError
 from repro.service.batcher import WorkUnit
-from repro.service.client import ServiceClient, SocketServiceClient
+from repro.service.client import ServiceClient
 from repro.service.queue import QueuedRequest
 from repro.service.request import InstanceRecipe, SolveRequest, SolveResponse
 from repro.service.resilience import (
-    FatalServiceError,
     ResilientExecutor,
     RetriableServiceError,
     RetryingServiceClient,
     RetryPolicy,
     WorkerCrashError,
 )
-from repro.service.server import serve_socket
 from repro.service.service import ServiceConfig, SolveService
 from repro.service.worker import run_service_cell_guarded
 
@@ -257,51 +254,6 @@ def build_chaos_workload(
     return requests
 
 
-def _terminal_signature(response: SolveResponse) -> str:
-    """Canonical payload bytes of a terminal response.
-
-    Scheduling metadata (``wait_s``, ``batch_index``, ``dedup``) is
-    excluded: a legitimately re-executed request may land in a later
-    batch, but its *payload* must never diverge. Wall-clock manifest
-    fields are stripped for the same reason the equivalence suite
-    strips them.
-    """
-    return json.dumps(
-        {
-            "status": response.status,
-            "error": response.error,
-            "result": dict(response.result),
-            "manifest": _strip_wall_clock(dict(response.manifest)),
-        },
-        sort_keys=True,
-    )
-
-
-def _strip_wall_clock(manifest: dict[str, Any]) -> dict[str, Any]:
-    cleaned = json.loads(json.dumps(manifest))
-    if cleaned:
-        cleaned["wall_seconds"] = 0.0
-        cleaned.get("timeline_summary", {}).pop("total_wall_ms", None)
-    return cleaned
-
-
-def _direct_signature(request: SolveRequest) -> str:
-    """The oracle: the same work solved directly, no service in between."""
-    cell = WorkUnit(
-        leader=QueuedRequest(
-            request=request, arrival=0.0, seq=0, deadline=None
-        )
-    ).cell()
-    outcome = run_service_cell_guarded(cell)
-    return json.dumps(
-        {
-            "result": dict(outcome.get("result", {})),
-            "manifest": _strip_wall_clock(dict(outcome.get("manifest", {}))),
-        },
-        sort_keys=True,
-    )
-
-
 @dataclass(frozen=True)
 class ChaosServeReport:
     """Outcome of one chaos-serve run, with the gates made explicit.
@@ -454,56 +406,42 @@ def _drive_socket(
     """Drive the workload over the socket transport, injecting transport
     faults (connection drops, half-sent frames, malformed lines) between
     requests."""
-    ready = threading.Event()
-    server = threading.Thread(
-        target=serve_socket,
-        args=(service, socket_path),
-        kwargs={"ready": ready},
-        daemon=True,
-    )
-    server.start()
-    if not ready.wait(timeout=10.0):
-        raise ReproError("socket server failed to start")
     injected = {"drops": 0, "malformed": 0}
     terminals: dict[str, list[SolveResponse]] = {}
-    retrying = RetryingServiceClient(
-        lambda: SocketServiceClient(socket_path, timeout_s=60.0),
-        policy=policy,
-        sleep=lambda _s: None,
-    )
-    try:
-        for index, request in enumerate(requests):
-            if plan.malformed_every and (
-                (index + 1) % plan.malformed_every == 0
-            ):
-                injected["malformed"] += 1
-                try:
-                    reply = retrying.current.raw_request('{"type":"solve",')
-                    if reply.get("type") != "error":
-                        raise ReproError(
-                            f"malformed frame was not rejected: {reply}"
-                        )
-                except RetriableServiceError:
-                    retrying.drop_connection()
-            if plan.drop_every and (index + 1) % plan.drop_every == 0:
-                # Sever the live connection *before* the request, so the
-                # retrying client hits a mid-operation transport error
-                # and must reconnect + resubmit; then stab the server
-                # with a half-sent frame from a vanishing client.
-                injected["drops"] += 1
-                retrying.current.abort()
-                _stab_partial_frame(socket_path)
-            _collect(terminals, retrying.solve(request))
-        for request in requests:  # re-fetch pass: answers must be stable
-            _collect(terminals, retrying.fetch(request.request_id))
+    with owned_server(service, path=socket_path) as connect:
+        retrying = RetryingServiceClient(
+            lambda: connect(timeout_s=60.0),
+            policy=policy,
+            sleep=lambda _s: None,
+        )
         try:
-            retrying.current.shutdown()
-        except (RetriableServiceError, FatalServiceError):
-            retrying.drop_connection()
-            retrying.current.shutdown()
-    finally:
-        retrying.close()
-        server.join(timeout=10.0)
+            for index, request in enumerate(requests):
+                if plan.malformed_every and (
+                    (index + 1) % plan.malformed_every == 0
+                ):
+                    injected["malformed"] += 1
+                    try:
+                        reply = retrying.current.raw_request('{"type":"solve",')
+                        if reply.get("type") != "error":
+                            raise ReproError(
+                                f"malformed frame was not rejected: {reply}"
+                            )
+                    except RetriableServiceError:
+                        retrying.drop_connection()
+                if plan.drop_every and (index + 1) % plan.drop_every == 0:
+                    # Sever the live connection *before* the request, so
+                    # the retrying client hits a mid-operation transport
+                    # error and must reconnect + resubmit; then stab the
+                    # server with a half-sent frame from a vanishing
+                    # client.
+                    injected["drops"] += 1
+                    retrying.current.abort()
+                    _stab_partial_frame(socket_path)
+                _collect(terminals, retrying.solve(request))
+            for request in requests:  # re-fetch pass: answers must be stable
+                _collect(terminals, retrying.fetch(request.request_id))
+        finally:
+            retrying.close()
     stats = vars(retrying.stats).copy()
     return terminals, injected, stats
 
@@ -574,41 +512,13 @@ def run_chaos_serve(
                 fault_kinds[f"{fault.kind}_cells"] += 1
         injected = {**injected, **fault_kinds}
         metrics = service.metrics_summary()
-    statuses: dict[str, int] = {}
-    lost: list[str] = []
-    conflicting: list[str] = []
-    divergent: list[str] = []
-    direct_cache: dict[tuple[Any, ...], str] = {}
-    for request in requests:
-        rid = request.request_id
-        answers = terminals.get(rid, [])
-        if not answers:
-            lost.append(rid)
-            continue
-        first = answers[0]
-        statuses[first.status] = statuses.get(first.status, 0) + 1
-        signatures = {_terminal_signature(answer) for answer in answers}
-        if len(signatures) > 1:
-            conflicting.append(rid)
-        if first.status == "ok":
-            key = request.work_key()
-            if key not in direct_cache:
-                direct_cache[key] = _direct_signature(request)
-            served = json.dumps(
-                {
-                    "result": dict(first.result),
-                    "manifest": _strip_wall_clock(dict(first.manifest)),
-                },
-                sort_keys=True,
-            )
-            if served != direct_cache[key]:
-                divergent.append(rid)
+    check = check_served_answers(requests, terminals)
     return ChaosServeReport(
         total_requests=len(requests),
-        statuses=statuses,
-        lost=tuple(lost),
-        conflicting=tuple(conflicting),
-        divergent=tuple(divergent),
+        statuses=check.statuses,
+        lost=check.lost,
+        conflicting=check.conflicting,
+        divergent=check.divergent,
         injected=injected,
         client_stats=client_stats,
         service_metrics=metrics,

@@ -5,8 +5,9 @@ millions of users. This module generates the *shape* of that traffic at
 test scale and drives it against a real server — usually the
 multi-worker TCP front end (`repro serve --tcp --service-workers K`,
 i.e. a :class:`~repro.service.router.ServiceRouter` behind
-:func:`~repro.service.tcp.serve_tcp`) — measuring what a capacity
-review actually asks about:
+:func:`~repro.service.tcp.serve_tcp`) through
+:class:`~repro.service.async_client.AsyncServiceClient` connections —
+measuring what a capacity review actually asks about:
 
 * **latency quantiles** (p50 / p95 / p99) per completed request;
 * **goodput** — ``ok`` responses per second, and its lower-is-better
@@ -28,13 +29,12 @@ pressure).
 
 Two driving disciplines:
 
-* ``closed`` loop — ``num_users`` synchronous users, each submitting
-  its next request only after the previous one completed. Offered load
-  self-regulates; this is the SLO-style measurement.
-* ``open`` loop — one pipelining
-  :class:`~repro.service.async_client.AsyncServiceClient` injecting
-  requests on a fixed arrival schedule regardless of completion;
-  latency includes queueing delay, which is what overload looks like.
+* ``closed`` loop — ``num_users`` users on their own connections, each
+  waiting for its request's ack and answer before submitting the next.
+  Offered load self-regulates; this is the SLO-style measurement.
+* ``open`` loop — one pipelined connection injecting requests on a
+  fixed arrival schedule regardless of completion; latency includes
+  queueing delay, which is what overload looks like.
 
 ``repro loadtest`` (see :mod:`repro.cli`) is the CLI entry point; it
 writes a ``BENCH_loadtest.json`` trajectory record for CI gating.
@@ -42,19 +42,20 @@ writes a ``BENCH_loadtest.json`` trajectory record for CI gating.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Sequence
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.analysis.chaos_serve import _direct_signature, _strip_wall_clock
+from repro.analysis.served import check_served_answers, owned_server
 from repro.exceptions import ReproError
 from repro.service.async_client import AsyncServiceClient
-from repro.service.client import TcpServiceClient
 from repro.service.request import InstanceRecipe, SolveRequest, SolveResponse
 from repro.service.router import RouterConfig, ServiceRouter
 from repro.service.service import ServiceConfig
-from repro.service.tcp import serve_tcp
 
 __all__ = [
     "LoadShape",
@@ -64,9 +65,6 @@ __all__ = [
     "latency_quantile",
     "run_loadtest",
 ]
-
-import json
-import random
 
 
 @dataclass(frozen=True)
@@ -417,7 +415,7 @@ class LoadtestReport:
 
 
 def _drive_closed(
-    plan: LoadPlan, address: str, timeout_s: float
+    plan: LoadPlan, connect: Callable[..., AsyncServiceClient], timeout_s: float
 ) -> tuple[list[float], dict[str, SolveResponse]]:
     """Closed-loop drive: one thread + connection per user."""
     latencies: list[float] = []
@@ -425,12 +423,13 @@ def _drive_closed(
     lock = threading.Lock()
 
     def run_user(script: tuple[SolveRequest, ...]) -> None:
-        with TcpServiceClient(address=address, timeout_s=timeout_s) as client:
+        with connect(timeout_s=timeout_s) as client:
             for request in script:
                 started = time.perf_counter()
-                accepted = client.submit(request)
+                client.submit(request)
+                client.drain_acks()
                 response: SolveResponse | None = None
-                if accepted:
+                if client.accepted(request.request_id):
                     for flushed in client.flush():
                         with lock:
                             answers.setdefault(flushed.request_id, flushed)
@@ -458,7 +457,7 @@ def _drive_closed(
 
 
 def _drive_open(
-    plan: LoadPlan, address: str, timeout_s: float
+    plan: LoadPlan, connect: Callable[..., AsyncServiceClient], timeout_s: float
 ) -> tuple[list[float], dict[str, SolveResponse]]:
     """Open-loop drive: scheduled arrivals down one pipelined connection.
 
@@ -478,7 +477,7 @@ def _drive_open(
             if started is not None:
                 latencies.append((done - started) * 1000.0)
 
-    with AsyncServiceClient(address=address, timeout_s=timeout_s) as client:
+    with connect(timeout_s=timeout_s) as client:
         origin = time.perf_counter()
         previous_offset = 0.0
         for offset, request in plan.arrivals:
@@ -524,8 +523,6 @@ def run_loadtest(
     fields aside); divergences land in the report's ``divergent`` gate.
     """
     plan = build_workload(shape)
-    owned_thread: threading.Thread | None = None
-    router: ServiceRouter | None = None
     if address is None:
         config = router_config if router_config is not None else RouterConfig()
         if config.num_workers != service_workers:
@@ -536,66 +533,29 @@ def run_loadtest(
                 shared_cache_entries=config.shared_cache_entries,
                 parallel_flush=config.parallel_flush,
             )
-        router = ServiceRouter(config=config, service_config=service_config)
-        ready = threading.Event()
-        bound: dict[str, int] = {}
-        owned_thread = threading.Thread(
-            target=serve_tcp,
-            args=(router, "127.0.0.1", 0),
-            kwargs={
-                "ready": ready,
-                "on_bound": lambda port: bound.update(port=port),
-            },
-            daemon=True,
+        server: Any = owned_server(
+            ServiceRouter(config=config, service_config=service_config)
         )
-        owned_thread.start()
-        if not ready.wait(timeout=10.0):
-            raise ReproError("loadtest TCP server failed to start")
-        address = f"127.0.0.1:{bound['port']}"
-    try:
+    else:
+        server = nullcontext(partial(AsyncServiceClient, address=address))
+    with server as connect:
+        drive = _drive_closed if shape.mode == "closed" else _drive_open
         started = time.perf_counter()
-        if shape.mode == "closed":
-            latencies, answers = _drive_closed(plan, address, timeout_s)
-        else:
-            latencies, answers = _drive_open(plan, address, timeout_s)
+        latencies, answers = drive(plan, connect, timeout_s)
         wall = time.perf_counter() - started
-        with TcpServiceClient(address=address, timeout_s=timeout_s) as admin:
+        with connect(timeout_s=timeout_s) as admin:
             metrics = admin.metrics()
-            if owned_thread is not None:
-                admin.shutdown()
-    finally:
-        if owned_thread is not None:
-            owned_thread.join(timeout=10.0)
-    statuses: dict[str, int] = {}
-    lost: list[str] = []
-    divergent: list[str] = []
-    oracle: dict[Any, str] = {}
-    for script in plan.per_user:
-        for request in script:
-            response = answers.get(request.request_id)
-            if response is None:
-                lost.append(request.request_id)
-                continue
-            statuses[response.status] = statuses.get(response.status, 0) + 1
-            if check_correctness and response.status == "ok":
-                key = request.work_key()
-                if key not in oracle:
-                    oracle[key] = _direct_signature(request)
-                served = json.dumps(
-                    {
-                        "result": dict(response.result),
-                        "manifest": _strip_wall_clock(dict(response.manifest)),
-                    },
-                    sort_keys=True,
-                )
-                if served != oracle[key]:
-                    divergent.append(request.request_id)
+    check = check_served_answers(
+        [request for script in plan.per_user for request in script],
+        {rid: [response] for rid, response in answers.items()},
+        check_direct=check_correctness,
+    )
     return LoadtestReport(
         shape=shape,
         wall_seconds=wall,
         latencies_ms=tuple(latencies),
-        statuses=statuses,
-        lost=tuple(lost),
-        divergent=tuple(divergent),
+        statuses=check.statuses,
+        lost=check.lost,
+        divergent=check.divergent,
         service_metrics=metrics,
     )

@@ -24,9 +24,8 @@ throughput-oriented service front-end, the shape a deployment that
   cache hits, latency quantiles, timeout and rejection counts into a
   :class:`~repro.obs.registry.MetricsRegistry`.
 * :class:`~repro.service.client.ServiceClient` — the in-process helper
-  used by tests, examples and the ``repro serve`` CLI; plus the JSONL
-  wire codec and the synchronous Unix-socket / TCP stream clients over
-  the shared :class:`~repro.service.transport.LineTransport`.
+  used by tests, examples and the chaos harness; plus the JSONL wire
+  codec.
 * :mod:`~repro.service.resilience` — the fault-tolerance layer: the
   typed ``Retriable``/``Fatal`` service-error taxonomy, the
   crash-surviving :class:`~repro.service.resilience.ResilientExecutor`
@@ -42,12 +41,15 @@ throughput-oriented service front-end, the shape a deployment that
   :class:`~repro.service.router.SharedResultCache`, so dedup and result
   reuse survive sharding; ``repro serve --service-workers K`` builds
   one.
-* :func:`~repro.service.tcp.serve_tcp` — the concurrent TCP front end
-  (``repro serve --tcp HOST:PORT``), one reader thread per connection,
-  same line protocol as every other transport.
-* :class:`~repro.service.async_client.AsyncServiceClient` — the
-  pipelining client: many in-flight requests per connection, acks and
-  responses matched out-of-order by request id, wrappable by
+* :func:`~repro.service.server.serve_socket` and
+  :func:`~repro.service.tcp.serve_tcp` — the Unix and TCP servers
+  (``repro serve --socket PATH`` / ``--tcp HOST:PORT``); both bind,
+  then run one shared accept loop with one reader thread per
+  connection, and every stream (stdin too) runs the same line loop.
+* :class:`~repro.service.async_client.AsyncServiceClient` — the one
+  socket client: many in-flight requests per connection, acks and
+  responses matched out-of-order by request id, over the shared
+  :class:`~repro.service.transport.LineTransport`, wrappable by
   :class:`~repro.service.resilience.RetryingServiceClient`.
 
 See ``docs/SERVING.md`` for the full serving guide,
@@ -58,13 +60,7 @@ session.
 
 from repro.service.async_client import AsyncServiceClient
 from repro.service.batcher import Batch, Batcher, WorkUnit
-from repro.service.client import (
-    ServiceClient,
-    SocketServiceClient,
-    TcpServiceClient,
-    decode_line,
-    encode_line,
-)
+from repro.service.client import ServiceClient, decode_line, encode_line
 from repro.service.queue import AdmissionQueue, AdmissionResult
 from repro.service.request import (
     PRIORITY_CLASSES,
@@ -92,7 +88,12 @@ from repro.service.router import (
     ServiceRouter,
     SharedResultCache,
 )
-from repro.service.server import ServiceProtocol, serve_jsonl, serve_socket
+from repro.service.server import (
+    MAX_FRAME_BYTES,
+    ServiceProtocol,
+    serve_jsonl,
+    serve_socket,
+)
 from repro.service.service import ServiceConfig, SolveService
 from repro.service.store import ResultStore, StoreMiss
 from repro.service.tcp import serve_tcp
@@ -114,6 +115,7 @@ __all__ = [
     "HashRing",
     "InstanceRecipe",
     "LineTransport",
+    "MAX_FRAME_BYTES",
     "PRIORITY_CLASSES",
     "RETRIABLE_REJECT_REASONS",
     "ResilientExecutor",
@@ -130,12 +132,10 @@ __all__ = [
     "ServiceProtocol",
     "ServiceRouter",
     "SharedResultCache",
-    "SocketServiceClient",
     "SolveRequest",
     "SolveResponse",
     "SolveService",
     "StoreMiss",
-    "TcpServiceClient",
     "TokenBucket",
     "WorkUnit",
     "WorkerCrashError",

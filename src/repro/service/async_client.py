@@ -1,36 +1,38 @@
-"""Pipelining client: many in-flight requests on one connection.
+"""The socket client: many in-flight requests on one connection.
 
-The synchronous stream clients round-trip every submit — send the solve
-line, wait for its ack. That is one network round trip per request,
-which caps a single connection's throughput at ``1 / RTT`` regardless
-of how fast the server is. :class:`AsyncServiceClient` removes the cap
-by *pipelining*: :meth:`submit` writes the solve line and returns
-without reading the ack, so many requests ride the connection
-back-to-back; acks are collected lazily (and matched to their requests
-by ``request_id``) the next time the client reads — on
-:meth:`drain_acks`, :meth:`flush` or :meth:`fetch`.
+:class:`AsyncServiceClient` is the one client for ``repro serve
+--socket`` and ``repro serve --tcp``. A client that round-trips every
+submit caps a connection's throughput at ``1 / RTT`` however fast the
+server is; this one *pipelines*: :meth:`~AsyncServiceClient.submit`
+writes the solve line and returns without reading the ack, and acks are
+collected lazily (matched by ``request_id``) the next time the client
+reads — on :meth:`~AsyncServiceClient.drain_acks`,
+:meth:`~AsyncServiceClient.flush`, :meth:`~AsyncServiceClient.fetch`
+or any other verb. A caller that needs the verdict before going on
+calls ``drain_acks()`` right after ``submit``.
 
 The protocol makes this safe: the server answers lines strictly in the
 order it received them, so the reply stream is acks for the pipelined
-submits (in order, each carrying its ``request_id``) followed by
-whatever the next verb's replies are. Completion, however, is matched
-by ``request_id``, never by position — :meth:`flush` files every
-response into a per-id map (:meth:`take_response`), so callers that
-submitted in one order may collect in any other, and interleaved
-waves of submits resolve correctly.
+submits followed by whatever the next verb's replies are. Completion is
+matched by ``request_id``, never by position — ``flush`` files every
+response into a per-id map (:meth:`~AsyncServiceClient.take_response`),
+so interleaved waves of submits resolve correctly in any order.
 
-``max_in_flight`` bounds the number of unread acks. This is not
-decoration: the server writes each ack immediately, so a client that
-pipelines unboundedly without ever reading would eventually fill both
-TCP buffers and deadlock against its own submit. The bound drains the
-oldest ack before admitting a new submit past the limit.
+``max_in_flight`` bounds the number of unread acks: the server writes
+each ack immediately, so a client that pipelined unboundedly without
+reading would fill both socket buffers and deadlock against its own
+submit. The bound drains the oldest ack before a submit past the limit.
 
-The client raises the same typed taxonomy as the synchronous clients
-(via the shared :class:`~repro.service.transport.LineTransport`), and
-it deliberately exposes the ``submit`` / ``flush`` / ``fetch`` /
-``close`` verbs with compatible signatures — so
-:class:`~repro.service.resilience.RetryingServiceClient` wraps it
-unchanged for retry/backoff/reconnect semantics.
+Transport failures surface as the typed taxonomy of
+:mod:`repro.service.resilience` through the shared
+:class:`~repro.service.transport.LineTransport`: a timeout, reset or
+server EOF raises :class:`~repro.service.resilience.RetriableServiceError`
+and poisons the connection, after which every call raises
+:class:`~repro.service.resilience.FatalServiceError`. The ``submit`` /
+``flush`` / ``fetch`` / ``close`` verbs match
+:class:`~repro.service.client.ServiceClient`, so
+:class:`~repro.service.resilience.RetryingServiceClient` wraps either
+for retry, backoff and reconnect.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class AsyncServiceClient:
         deadlock).
     tracer:
         When given, submitted requests are stamped with the tracer's
-        current span context, exactly like the synchronous clients.
+        current span context (the ``trace`` wire field), so a tracing
+        server parents its spans under the caller's span.
 
     Usable as a context manager. Typical session::
 
@@ -135,8 +138,24 @@ class AsyncServiceClient:
         self._transport.close()
 
     def abort(self) -> None:
-        """Sever the transport abruptly — the chaos/reset simulation hook."""
+        """Sever the transport abruptly — the chaos/reset simulation hook.
+
+        The next operation fails with a
+        :class:`~repro.service.resilience.RetriableServiceError`, which
+        is what a mid-session connection reset looks like to a caller.
+        """
         self._transport.abort()
+
+    def raw_request(self, line: str) -> dict[str, Any]:
+        """Send one raw line (no codec) and decode its reply.
+
+        The chaos hook for malformed frames through a live connection.
+        Pending acks are drained first so the reply read is this
+        line's; the newline is appended when missing.
+        """
+        self.drain_acks()
+        self._transport.send_raw(line)
+        return self._transport.recv_payload()
 
     # ------------------------------------------------------------------
     # Pipelined submission

@@ -1,25 +1,11 @@
-"""Clients of the solve service, plus the JSONL wire codec.
+"""The in-process client of the solve service, plus the wire codec.
 
-Three synchronous clients share one mental model — submit requests,
-flush, collect responses by request id:
-
-* :class:`ServiceClient` wraps an in-process
-  :class:`~repro.service.service.SolveService`; tests, examples and the
-  stdin transport use it.
-* :class:`SocketServiceClient` speaks the line protocol over a Unix
-  domain socket to a ``repro serve --socket PATH`` process.
-* :class:`TcpServiceClient` speaks the same protocol over TCP to a
-  ``repro serve --tcp HOST:PORT`` front end (usually a
-  :class:`~repro.service.router.ServiceRouter` fronting several service
-  workers).
-
-Every sent line yields at least one reply line, so the stream clients
-stay simple request/response loops (see :mod:`repro.service.server` for
-the protocol table); the framed I/O, typed-error mapping and
-broken-connection poisoning they share live in
-:class:`~repro.service.transport.LineTransport`. For many in-flight
-requests per connection, use
-:class:`~repro.service.async_client.AsyncServiceClient` instead.
+:class:`ServiceClient` wraps an in-process
+:class:`~repro.service.service.SolveService`; tests, examples and the
+chaos harness use it. It shares one mental model with the socket client
+:class:`~repro.service.async_client.AsyncServiceClient` — submit
+requests, flush, collect responses by request id — so
+:class:`~repro.service.resilience.RetryingServiceClient` wraps either.
 
 The codec pair :func:`encode_line` / :func:`decode_line` (re-exported
 from :mod:`repro.service.transport`) defines the wire format: one
@@ -31,28 +17,14 @@ served against direct results.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-from repro.exceptions import ReproError
 from repro.obs.spans import Tracer
 from repro.service.request import SolveRequest, SolveResponse
 from repro.service.service import SolveService
-from repro.service.transport import (
-    LineTransport,
-    connect_tcp,
-    connect_unix,
-    decode_line,
-    encode_line,
-    parse_hostport,
-)
+from repro.service.transport import decode_line, encode_line
 
-__all__ = [
-    "ServiceClient",
-    "SocketServiceClient",
-    "TcpServiceClient",
-    "decode_line",
-    "encode_line",
-]
+__all__ = ["ServiceClient", "decode_line", "encode_line"]
 
 
 def _stamp_trace(request: SolveRequest, tracer: Tracer) -> SolveRequest:
@@ -141,160 +113,3 @@ class ServiceClient:
                 )
             out.append(response)
         return out
-
-
-class _StreamServiceClient:
-    """Shared body of the synchronous stream clients (Unix and TCP).
-
-    Subclasses open the connection (a
-    :class:`~repro.service.transport.LineTransport`) in ``__init__``;
-    everything else — the request/response verbs, the context-manager
-    protocol, the chaos hooks — is transport-agnostic and lives here.
-
-    Transport failures surface as the typed taxonomy from
-    :mod:`repro.service.resilience`: a receive timeout, connection
-    reset, broken pipe or server-side EOF raises
-    :class:`~repro.service.resilience.RetriableServiceError` — and marks
-    the connection *broken*, because after a half-read the line buffer
-    is in an undefined state. Every later call on a broken client
-    raises :class:`~repro.service.resilience.FatalServiceError` until a
-    fresh client is built (which is what
-    :class:`~repro.service.resilience.RetryingServiceClient` does
-    automatically).
-    """
-
-    _transport: LineTransport
-
-    tracer: Tracer | None = None
-
-    def __enter__(self) -> "_StreamServiceClient":
-        """Context-manager entry; the connection is already open."""
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: drop the connection."""
-        self.close()
-
-    def close(self) -> None:
-        """Drop the connection (the server keeps serving others)."""
-        self._transport.close()
-
-    def abort(self) -> None:
-        """Sever the transport abruptly, with no clean close.
-
-        A testing/chaos hook: the next operation on this client fails
-        with a :class:`~repro.service.resilience.RetriableServiceError`,
-        which is exactly what a mid-session connection reset looks like
-        from the caller's side.
-        """
-        self._transport.abort()
-
-    def raw_request(self, line: str) -> dict[str, Any]:
-        """Send one raw line (no codec) and decode the reply.
-
-        Exists for protocol and chaos testing — it is how the chaos
-        harness injects malformed frames through a live connection. The
-        newline is appended when missing.
-        """
-        self._transport.send_raw(line)
-        return self._transport.recv_payload()
-
-    def submit(self, request: SolveRequest) -> bool:
-        """Send one solve request; True when the server admitted it."""
-        if self.tracer is not None:
-            request = _stamp_trace(request, self.tracer)
-        self._transport.send_payload(request.to_wire())
-        ack = self._transport.recv_payload()
-        return bool(ack.get("accepted", False))
-
-    def flush(self) -> list[SolveResponse]:
-        """Ask the server to process everything queued.
-
-        The server answers with one response line per completed request
-        followed by a ``flush_done`` line carrying the count, so the
-        client knows exactly how many lines to read.
-        """
-        self._transport.send_payload({"type": "flush"})
-        responses: list[SolveResponse] = []
-        while True:
-            payload = self._transport.recv_payload()
-            if payload.get("type") == "flush_done":
-                break
-            responses.append(SolveResponse.from_wire(payload))
-        return responses
-
-    def fetch(self, request_id: str) -> SolveResponse | None:
-        """Re-fetch a retained response by id (``None`` when unknown)."""
-        self._transport.send_payload(
-            {"type": "fetch", "request_id": request_id}
-        )
-        payload = self._transport.recv_payload()
-        if payload.get("type") == "error":
-            return None
-        return SolveResponse.from_wire(payload)
-
-    def metrics(self) -> dict[str, Any]:
-        """The server's flat metrics summary."""
-        self._transport.send_payload({"type": "metrics"})
-        payload = self._transport.recv_payload()
-        return dict(payload.get("metrics", {}))
-
-    def shutdown(self) -> None:
-        """Ask the server process to stop accepting and exit."""
-        self._transport.send_payload({"type": "shutdown"})
-        self._transport.recv_payload()  # the "bye" line
-
-
-class SocketServiceClient(_StreamServiceClient):
-    """Synchronous client for the ``repro serve --socket`` transport.
-
-    Usable as a context manager; :meth:`close` just drops the
-    connection (the server keeps running), while :meth:`shutdown` asks
-    the server process to exit. With a ``tracer``, submitted requests
-    are stamped with the tracer's current span context (``trace`` wire
-    field), so a tracing server parents its spans under this client —
-    one trace tree across the socket boundary.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        timeout_s: float = 30.0,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.path = str(path)
-        self.timeout_s = float(timeout_s)
-        self.tracer = tracer
-        self._transport = connect_unix(self.path, self.timeout_s)
-
-
-class TcpServiceClient(_StreamServiceClient):
-    """Synchronous client for the ``repro serve --tcp`` front end.
-
-    ``address`` is a ``HOST:PORT`` string (or pass ``host``/``port``
-    explicitly). The protocol — and therefore every verb, the tracing
-    behavior and the typed failure taxonomy — is identical to
-    :class:`SocketServiceClient`; only the connection differs, which is
-    the point of the shared
-    :class:`~repro.service.transport.LineTransport`.
-    """
-
-    def __init__(
-        self,
-        address: str | None = None,
-        host: str | None = None,
-        port: int | None = None,
-        timeout_s: float = 30.0,
-        tracer: Tracer | None = None,
-    ) -> None:
-        if address is not None:
-            host, port = parse_hostport(address)
-        if host is None or port is None:
-            raise ReproError(
-                "TcpServiceClient needs address='HOST:PORT' or host and port"
-            )
-        self.host = str(host)
-        self.port = int(port)
-        self.timeout_s = float(timeout_s)
-        self.tracer = tracer
-        self._transport = connect_tcp(self.host, self.port, self.timeout_s)

@@ -621,35 +621,38 @@ class ServiceRouter:
     def metrics_summary(self) -> dict[str, Any]:
         """Aggregate metrics across workers, plus the router's own.
 
-        Worker summaries are summed field-wise (latency quantiles are
-        recomputed from the merged histograms' summaries as max, the
-        conservative aggregate), then the router adds routing balance
-        and shared-cache traffic under ``route_*`` / ``shared_cache_*``
-        keys — one flat dict, same shape the single-service summary
-        has, so dashboards work unchanged behind a router.
+        Counters and gauges are summed field-wise. Means are weighted by
+        their sample counts: ``batch_*_mean`` by each worker's
+        ``batches``, ``latency_mean_s`` by its ``latency_count``.
+        Latency quantiles are the max of the per-worker quantiles, an
+        upper bound on the quantile of the merged samples. The router
+        then adds routing balance and shared-cache traffic under
+        ``route_*`` / ``shared_cache_*`` keys — one flat dict, same
+        shape the single-service summary has, so dashboards work
+        unchanged behind a router.
         """
         summaries = [worker.metrics_summary() for worker in self.workers]
-        aggregate: dict[str, Any] = {}
-        sum_keys = {
-            key
-            for summary in summaries
-            for key in summary
-            if not key.startswith("latency_")
+        weighted = {
+            "batch_size_mean": "batches",
+            "batch_unique_mean": "batches",
+            "latency_mean_s": "latency_count",
         }
-        for key in sorted(sum_keys):
+        aggregate: dict[str, Any] = {}
+        for key in sorted({key for summary in summaries for key in summary}):
+            if key in weighted or key in ("latency_p50_s", "latency_p95_s"):
+                continue
             aggregate[key] = sum(summary.get(key, 0) or 0 for summary in summaries)
-        counts = [summary.get("latency_count", 0) for summary in summaries]
-        total = sum(counts)
-        aggregate["latency_count"] = total
-        aggregate["latency_mean_s"] = (
-            sum(
-                summary.get("latency_mean_s", 0.0) * count
-                for summary, count in zip(summaries, counts)
+        for key, weight_key in weighted.items():
+            total = sum(summary.get(weight_key, 0) for summary in summaries)
+            aggregate[key] = (
+                sum(
+                    summary.get(key, 0.0) * summary.get(weight_key, 0)
+                    for summary in summaries
+                )
+                / total
+                if total
+                else 0.0
             )
-            / total
-            if total
-            else 0.0
-        )
         for quantile in ("latency_p50_s", "latency_p95_s"):
             aggregate[quantile] = max(
                 (summary.get(quantile, 0.0) for summary in summaries),

@@ -1,81 +1,24 @@
 """TCP front end of the serving layer: many connections, one service.
 
 ``repro serve --tcp HOST:PORT`` binds this server. It speaks exactly
-the line protocol of :mod:`repro.service.server` — the
-:class:`~repro.service.server.ServiceProtocol` table is the contract,
-and the service behind it may be a single
+the line protocol of :mod:`repro.service.server` and runs the same
+accept loop as :func:`~repro.service.server.serve_socket`: one reader
+thread per connection, one lock around protocol handling, the same
+drain and shutdown lifecycle. The service behind it may be a single
 :class:`~repro.service.service.SolveService` or (with
 ``--service-workers K``) a :class:`~repro.service.router.ServiceRouter`
 fronting K workers; the transport cannot tell the difference.
-
-What TCP adds over the Unix-socket transport is *concurrent
-connections*: each accepted connection gets its own reader thread, so a
-slow or idle client never blocks the others — which is what lets many
-users pipeline requests against one front end
-(:class:`~repro.service.async_client.AsyncServiceClient` exploits
-this). The service itself stays synchronous; a connection lock
-serializes protocol handling, so batching, dedup and the byte-identity
-contract are exactly what the sequential transports guarantee.
-
-Like :func:`~repro.service.server.serve_socket`, the server survives
-misbehaving clients (resets, half-frames, vanishing mid-reply end that
-connection only) and honors ``drain_signal`` for graceful SIGTERM
-shutdown.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
 from typing import Any, Callable
 
 from repro.exceptions import ReproError
-from repro.service.server import ServiceProtocol
-from repro.service.transport import decode_line, encode_line
+from repro.service.server import _serve_listener
 
 __all__ = ["serve_tcp"]
-
-
-def _serve_connection(
-    conn: socket.socket,
-    protocol: ServiceProtocol,
-    lock: threading.Lock,
-) -> None:
-    """Serve one client connection until EOF, shutdown, or failure.
-
-    Frames are decoded outside the lock and handled inside it — the
-    service is synchronous, so the lock is what makes interleaved
-    connections equivalent to some sequential order of their lines
-    (which is all the protocol ever promises).
-    """
-    try:
-        # Separate reader/writer streams: a combined "rw" makefile drops
-        # its read-ahead buffer on write, which would lose pipelined
-        # lines that arrived while a reply was being written.
-        with conn, conn.makefile(
-            "r", encoding="utf-8", newline="\n"
-        ) as reader, conn.makefile(
-            "w", encoding="utf-8", newline="\n"
-        ) as writer:
-            for line in reader:
-                if not line.strip():
-                    continue
-                try:
-                    payload = decode_line(line)
-                except ReproError as error:
-                    replies = [{"type": "error", "error": str(error)}]
-                else:
-                    with lock:
-                        replies = list(protocol.handle(payload))
-                for reply in replies:
-                    writer.write(encode_line(reply))
-                writer.flush()
-                if protocol.shutting_down:
-                    break
-    except (OSError, ValueError):
-        # A dropped/reset/half-closed client connection is the client's
-        # failure, not the server's: keep serving the rest.
-        pass
 
 
 def serve_tcp(
@@ -96,59 +39,21 @@ def serve_tcp(
     port before the first accept (how tests and the CLI learn the
     address), and ``ready`` (an object with ``set()``, e.g. a
     ``threading.Event``) is signalled once the socket is listening.
-
-    ``drain_signal`` (an ``is_set()`` object, e.g. an event flipped by
-    SIGTERM) is polled between accepts: once set, the service drains
-    gracefully — bounded by ``drain_timeout_s`` — and the server exits.
-    A client-sent ``drain`` or ``shutdown`` line stops the server the
-    same way it stops the sequential transports. Returns the number of
+    ``drain_signal`` and ``drain_timeout_s`` work as for
+    :func:`~repro.service.server.serve_socket`. Returns the number of
     connections served.
     """
-    protocol = ServiceProtocol(service)
-    lock = threading.Lock()
-    connections = 0
-    threads: list[threading.Thread] = []
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            server.bind((host, int(port)))
+            listener.bind((host, int(port)))
         except OSError as error:
             raise ReproError(
                 f"cannot bind TCP server to {host}:{port}: {error}"
             ) from error
-        server.listen(16)
-        bound_port = server.getsockname()[1]
+        listener.listen(16)
         if on_bound is not None:
-            on_bound(bound_port)
-        # Poll between accepts so the drain signal and a shutdown line
-        # handled on a connection thread are both noticed promptly.
-        server.settimeout(0.25)
-        if ready is not None:
-            ready.set()
-        while not protocol.shutting_down:
-            if drain_signal is not None and drain_signal.is_set():
-                with lock:
-                    service.shutdown(
-                        drain=True, drain_timeout_s=drain_timeout_s
-                    )
-                break
-            try:
-                conn, _ = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            connections += 1
-            thread = threading.Thread(
-                target=_serve_connection,
-                args=(conn, protocol, lock),
-                daemon=True,
-                name=f"repro-serve-tcp-{connections}",
-            )
-            thread.start()
-            threads.append(thread)
-    for thread in threads:
-        # Bounded join: an idle client blocked in readline must not pin
-        # the server's exit; the threads are daemons either way.
-        thread.join(timeout=1.0)
-    return connections
+            on_bound(listener.getsockname()[1])
+        return _serve_listener(
+            service, listener, ready, drain_signal, drain_timeout_s
+        )

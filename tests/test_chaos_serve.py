@@ -13,7 +13,9 @@ from repro.analysis.chaos_serve import (
     build_chaos_workload,
     run_chaos_serve,
 )
+from repro.analysis.served import check_served_answers
 from repro.exceptions import ReproError
+from repro.service import ServiceClient, SolveResponse
 
 
 class TestPlanAndWorkload:
@@ -129,6 +131,38 @@ class TestGateDetection:
         no_ok = dataclasses.replace(clean, statuses={"error": 4})
         assert [f["gate"] for f in no_ok.failures()] == ["at_least_one_ok"]
         assert isinstance(clean, ChaosServeReport)
+
+
+class TestServedAnswerCheck:
+    def test_lost_conflicting_and_divergent_are_told_apart(self):
+        requests = build_chaos_workload(num_requests=2, duplicate_every=0)
+        good = {
+            r.request_id: r for r in ServiceClient().solve_many(requests)
+        }
+        first, second = (request.request_id for request in requests)
+        doctored = dataclasses.replace(
+            good[second], result={**good[second].result, "cost": -1.0}
+        )
+        refused = SolveResponse(
+            request_id=first, status="rejected", error="queue_full"
+        )
+        check = check_served_answers(
+            requests, {first: [good[first], good[first]]}
+        )
+        assert (check.lost, check.conflicting, check.divergent) == (
+            (second,), (), ()
+        )
+        assert check.statuses == {"ok": 1}
+        check = check_served_answers(
+            requests,
+            {first: [good[first], refused], second: [doctored]},
+        )
+        assert check.conflicting == (first,)
+        assert check.divergent == (second,)
+        unchecked = check_served_answers(
+            requests, {second: [doctored]}, check_direct=False
+        )
+        assert unchecked.divergent == () and unchecked.lost == (first,)
 
 
 class TestSocketGates:

@@ -1,5 +1,5 @@
 """Tests for the wire codec, the line protocol and both clients
-(in-process and Unix socket)."""
+(in-process and, over a Unix socket, the socket client)."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.service import (
+    AsyncServiceClient,
     ServiceClient,
     ServiceProtocol,
-    SocketServiceClient,
     SolveService,
     decode_line,
     encode_line,
@@ -115,6 +115,16 @@ class TestServeJsonl:
         assert replies[3]["dedup"] is True
         assert replies[-1]["metrics"]["dedup_hits"] == 1
 
+    def test_over_long_line_ends_the_stream(self, monkeypatch):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 16)
+        stream = io.StringIO("x" * 40 + "\n" + encode_line(request("a").to_wire()))
+        out = io.StringIO()
+        assert serve_jsonl(SolveService(), stream, out) == 0
+        replies = [decode_line(line) for line in out.getvalue().splitlines()]
+        assert [r.get("reason") for r in replies] == ["frame_too_large"]
+
     def test_bad_line_answers_error_and_continues(self):
         stream = io.StringIO("this is not json\n" + encode_line(request("a").to_wire()))
         out = io.StringIO()
@@ -144,9 +154,10 @@ class TestSocketTransport:
         server.start()
         try:
             assert ready.wait(10)
-            with SocketServiceClient(socket_path) as client:
-                assert client.submit(request("a"))
-                assert client.submit(request("a2"))  # duplicate work
+            with AsyncServiceClient(path=socket_path) as client:
+                client.submit(request("a"))
+                client.submit(request("a2"))  # duplicate work
+                assert client.drain_acks() == {"a": True, "a2": True}
                 responses = client.flush()
                 assert [r.request_id for r in responses] == ["a", "a2"]
                 assert [r.dedup for r in responses] == [False, True]
@@ -156,7 +167,7 @@ class TestSocketTransport:
                 assert client.metrics()["dedup_hits"] == 1
 
             # State survives across connections (fetch on a new one).
-            with SocketServiceClient(socket_path) as client:
+            with AsyncServiceClient(path=socket_path) as client:
                 again = client.fetch("a")
                 assert again is not None and again.status == "ok"
                 client.shutdown()

@@ -315,12 +315,13 @@ class TestServedViaTcpRouter:
         return router, f"127.0.0.1:{bound['port']}", thread
 
     def test_tcp_router_matches_direct_solves(self):
-        from repro.service import TcpServiceClient
+        from repro.service import AsyncServiceClient
 
         router, address, thread = self.serve_router()
-        with TcpServiceClient(address=address) as client:
+        with AsyncServiceClient(address=address) as client:
             for spec in WORKLOAD:
-                assert client.submit(build_request(spec))
+                client.submit(build_request(spec))
+            assert all(client.drain_acks().values())
             by_id = {r.request_id: r for r in client.flush()}
             client.shutdown()
         thread.join(timeout=10.0)
@@ -341,7 +342,7 @@ class TestServedViaTcpRouter:
         # is answered from it — and every response, cached or solved,
         # must be byte-identical to the direct solve of its spec.
         from repro.analysis.loadgen import LoadShape, build_workload
-        from repro.service import TcpServiceClient
+        from repro.service import AsyncServiceClient
 
         shape = LoadShape(
             num_users=3,
@@ -366,12 +367,14 @@ class TestServedViaTcpRouter:
             for request in wave_one
         ]
         router, address, thread = self.serve_router()
-        with TcpServiceClient(address=address) as client:
+        with AsyncServiceClient(address=address) as client:
             for request in wave_one:
-                assert client.submit(request)
+                client.submit(request)
+            assert all(client.drain_acks().values())
             first = {r.request_id: r for r in client.flush()}
             for request in wave_two:
-                assert client.submit(request)
+                client.submit(request)
+            assert all(client.drain_acks().values())
             second = {r.request_id: r for r in client.flush()}
             metrics = client.metrics()
             client.shutdown()

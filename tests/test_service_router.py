@@ -248,6 +248,26 @@ class TestServiceRouter:
         assert single_keys <= set(summary)
         assert summary["responses_ok"] == 1
 
+    def test_metrics_summary_batch_means_weight_by_batches(self):
+        # Means are per batch, so the router's mean is total batched
+        # requests over total batches, not a sum of worker means.
+        from repro.service.service import ServiceConfig
+
+        router = ServiceRouter(
+            RouterConfig(num_workers=2),
+            service_config=ServiceConfig(max_batch_size=2),
+        )
+        for seed in range(7):
+            assert router.submit(make_request(f"b{seed}", seed)).accepted
+        router.run_until_drained()
+        routed = [int(count) for count in router.route_counts().values()]
+        assert sorted(routed) != [0, 7]  # both workers batched something
+        batches = sum((count + 1) // 2 for count in routed)
+        summary = router.metrics_summary()
+        assert summary["batches"] == batches
+        assert summary["batch_size_mean"] == pytest.approx(7 / batches)
+        assert summary["batch_unique_mean"] == pytest.approx(7 / batches)
+
     def test_rejects_bad_configuration(self):
         with pytest.raises(ReproError):
             RouterConfig(num_workers=0)

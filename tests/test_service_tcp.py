@@ -1,22 +1,25 @@
-"""The TCP front end, the pipelining client, and the shared transport.
+"""The socket servers, the pipelining client, and the shared transport.
 
-Covers the three pieces PR-level serving scale added on the wire side:
-``serve_tcp`` (concurrent connections, drain, malformed frames), the
-pipelined :class:`~repro.service.async_client.AsyncServiceClient`
-(many in-flight requests, out-of-order completion by request id,
-composition with :class:`RetryingServiceClient`), and the
+Covers the wire side of serving: the one accept loop behind both
+``serve_socket`` and ``serve_tcp`` (concurrent connections, drain,
+malformed and over-long frames — each test runs over a Unix path and a
+TCP port), the pipelined
+:class:`~repro.service.async_client.AsyncServiceClient` (many in-flight
+requests, out-of-order completion by request id, composition with
+:class:`RetryingServiceClient`), and the
 :class:`~repro.service.transport.LineTransport` helper whose framing +
-typed-error mapping + poisoning discipline both stream clients share.
+typed-error mapping + poisoning discipline the client builds on.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from pathlib import Path
+from functools import partial
 
 import pytest
 
+import repro.service.server as server_module
 from repro.exceptions import ReproError
 from repro.service import (
     AsyncServiceClient,
@@ -25,7 +28,7 @@ from repro.service import (
     RouterConfig,
     ServiceRouter,
     SolveService,
-    TcpServiceClient,
+    encode_line,
     serve_socket,
     serve_tcp,
 )
@@ -45,98 +48,117 @@ def make_request(rid: str, seed: int = 1, k: int = 4) -> SolveRequest:
     )
 
 
+def start_server(kind, tmp_path, service, **options):
+    """Serve ``service`` on a thread; return a client factory and the thread."""
+    ready = threading.Event()
+    bound: dict[str, int] = {}
+    if kind == "unix":
+        path = str(tmp_path / "svc.sock")
+        target, args = serve_socket, (service, path)
+    else:
+        target, args = serve_tcp, (service, "127.0.0.1", 0)
+        options["on_bound"] = lambda port: bound.update(port=port)
+    thread = threading.Thread(
+        target=target, args=args, kwargs={"ready": ready, **options}, daemon=True
+    )
+    thread.start()
+    assert ready.wait(10.0), f"{kind} server failed to start"
+    if kind == "unix":
+        return partial(AsyncServiceClient, path=path), thread
+    return partial(AsyncServiceClient, address=f"127.0.0.1:{bound['port']}"), thread
+
+
+@pytest.fixture(params=["unix", "tcp"])
+def listener(request, tmp_path):
+    """Starts a server on a Unix path or a TCP port (one run each)."""
+    return partial(start_server, request.param, tmp_path)
+
+
 @pytest.fixture
-def tcp_server():
-    """A serve_tcp thread on an ephemeral port; yields its address."""
+def tcp_server(tmp_path):
+    """Starts a server on an ephemeral TCP port."""
+    return partial(start_server, "tcp", tmp_path)
 
-    def start(service):
-        ready = threading.Event()
-        bound: dict[str, int] = {}
-        thread = threading.Thread(
-            target=serve_tcp,
-            args=(service, "127.0.0.1", 0),
-            kwargs={
-                "ready": ready,
-                "on_bound": lambda port: bound.update(port=port),
-            },
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(10.0), "TCP server failed to start"
-        return f"127.0.0.1:{bound['port']}", thread
 
-    return start
+def stop(connect, thread) -> None:
+    with connect() as client:
+        client.shutdown()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 class TestServeTcp:
     def test_round_trip_single_service(self, tcp_server):
-        address, thread = tcp_server(SolveService())
-        with TcpServiceClient(address=address) as client:
-            assert client.submit(make_request("t0"))
+        connect, thread = tcp_server(SolveService())
+        with connect() as client:
+            client.submit(make_request("t0"))
+            assert client.drain_acks()["t0"] is True
             responses = client.flush()
             assert [r.status for r in responses] == ["ok"]
             assert client.fetch("t0").status == "ok"
-            client.shutdown()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
+        stop(connect, thread)
 
     def test_router_behind_tcp(self, tcp_server):
         router = ServiceRouter(RouterConfig(num_workers=2))
-        address, thread = tcp_server(router)
-        with TcpServiceClient(address=address) as client:
+        connect, thread = tcp_server(router)
+        with connect() as client:
             for index in range(4):
-                assert client.submit(make_request(f"r{index}", seed=index % 2))
+                client.submit(make_request(f"r{index}", seed=index % 2))
+            assert all(client.drain_acks().values())
             responses = {r.request_id: r for r in client.flush()}
             assert all(r.status == "ok" for r in responses.values())
             assert responses["r2"].dedup and responses["r3"].dedup
             metrics = client.metrics()
             assert metrics["route_workers"] == 2
-            client.shutdown()
-        thread.join(timeout=10.0)
+        stop(connect, thread)
 
-    def test_concurrent_connections(self, tcp_server):
-        address, thread = tcp_server(SolveService())
+    def test_concurrent_connections(self, listener):
+        connect, thread = listener(SolveService())
         # An idle connection must not block another client's traffic.
-        idle = TcpServiceClient(address=address)
+        idle = connect()
         try:
-            with TcpServiceClient(address=address) as busy:
-                assert busy.submit(make_request("c0"))
+            with connect() as busy:
+                busy.submit(make_request("c0"))
+                assert busy.accepted("c0") is None  # pipelined, unread
                 assert [r.status for r in busy.flush()] == ["ok"]
+                assert busy.accepted("c0") is True
         finally:
             idle.close()
-        with TcpServiceClient(address=address) as client:
-            client.shutdown()
-        thread.join(timeout=10.0)
+        stop(connect, thread)
 
-    def test_malformed_frame_answers_error_and_survives(self, tcp_server):
-        address, thread = tcp_server(SolveService())
-        with TcpServiceClient(address=address) as client:
+    def test_malformed_frame_answers_error_and_survives(self, listener):
+        connect, thread = listener(SolveService())
+        with connect() as client:
             reply = client.raw_request("this is not json")
             assert reply["type"] == "error"
             # Same connection still works afterwards.
-            assert client.submit(make_request("after-junk"))
+            client.submit(make_request("after-junk"))
+            assert client.drain_acks()["after-junk"] is True
             assert [r.status for r in client.flush()] == ["ok"]
-            client.shutdown()
-        thread.join(timeout=10.0)
+        stop(connect, thread)
 
-    def test_drain_signal_stops_the_server(self):
+    def test_over_long_frame_closes_only_its_connection(
+        self, listener, monkeypatch
+    ):
+        request = make_request("still-served")
+        limit = len(encode_line(request.to_wire()))  # just fits the solve
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", limit)
+        connect, thread = listener(SolveService())
+        with connect(timeout_s=5.0) as client:
+            reply = client.raw_request("x" * (limit + 1))
+            assert reply["type"] == "error"
+            assert reply["reason"] == "frame_too_large"
+            with pytest.raises(RetriableServiceError):
+                client.metrics()  # the server closed this connection
+        with connect() as other:
+            other.submit(request)
+            assert [r.status for r in other.flush()] == ["ok"]
+        stop(connect, thread)
+
+    def test_drain_signal_stops_the_server(self, listener):
         service = SolveService()
-        ready = threading.Event()
         drain = threading.Event()
-        bound: dict[str, int] = {}
-        thread = threading.Thread(
-            target=serve_tcp,
-            args=(service, "127.0.0.1", 0),
-            kwargs={
-                "ready": ready,
-                "on_bound": lambda port: bound.update(port=port),
-                "drain_signal": drain,
-                "drain_timeout_s": 5.0,
-            },
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(10.0)
+        _, thread = listener(service, drain_signal=drain, drain_timeout_s=5.0)
         drain.set()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
@@ -144,68 +166,40 @@ class TestServeTcp:
 
 
 class TestAsyncServiceClient:
-    def test_pipelined_submits_resolve_out_of_order(self, tcp_server):
-        address, thread = tcp_server(SolveService())
-        with AsyncServiceClient(address=address, max_in_flight=3) as client:
+    def test_pipelined_submits_resolve_out_of_order(self, listener):
+        connect, thread = listener(SolveService())
+        with connect(max_in_flight=3) as client:
             rids = [f"p{i}" for i in range(6)]
             for index, rid in enumerate(rids):
                 client.submit(make_request(rid, seed=index % 2))
             assert client.in_flight <= 3  # the bound drained the rest
-            client.flush()
+            flushed = client.flush()
+            assert sorted(r.request_id for r in flushed) == sorted(rids)
             # Collect in reverse submission order: matching is by id.
             for rid in reversed(rids):
                 response = client.take_response(rid) or client.fetch(rid)
                 assert response is not None and response.status == "ok"
             assert all(client.accepted(rid) for rid in rids)
-            client.shutdown()
-        thread.join(timeout=10.0)
+        stop(connect, thread)
 
     def test_rejection_reasons_surface_after_drain(self, tcp_server):
         from repro.service import ServiceConfig
 
         service = SolveService(config=ServiceConfig(max_queue_depth=1))
-        address, thread = tcp_server(service)
-        with AsyncServiceClient(address=address) as client:
+        connect, thread = tcp_server(service)
+        with connect() as client:
             client.submit(make_request("keep", seed=1))
             client.submit(make_request("spill", seed=2))
             acks = client.drain_acks()
             assert acks["keep"] is True
             assert acks["spill"] is False
             assert client.rejection_reason("spill") == "queue_full"
-            client.shutdown()
-        thread.join(timeout=10.0)
-
-    def test_pipelining_over_unix_socket(self, tmp_path):
-        # Pipelining is a protocol property, not a TCP one — and this
-        # exercises the serve_socket read-buffer fix directly.
-        path = str(tmp_path / "svc.sock")
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=serve_socket,
-            args=(SolveService(), path),
-            kwargs={"ready": ready},
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(10.0)
-        with AsyncServiceClient(path=path) as client:
-            for index in range(4):
-                client.submit(make_request(f"u{index}", seed=index % 2))
-            responses = client.flush()
-            assert sorted(r.request_id for r in responses) == [
-                "u0",
-                "u1",
-                "u2",
-                "u3",
-            ]
-            assert all(r.status == "ok" for r in responses)
-            client.shutdown()
-        thread.join(timeout=10.0)
+        stop(connect, thread)
 
     def test_composes_with_retrying_client(self, tcp_server):
-        address, thread = tcp_server(SolveService())
+        connect, thread = tcp_server(SolveService())
         retrying = RetryingServiceClient(
-            lambda: AsyncServiceClient(address=address),
+            connect,
             policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0, jitter=0.0),
             sleep=lambda _s: None,
         )
@@ -216,9 +210,7 @@ class TestAsyncServiceClient:
         assert [r.status for r in responses] == ["ok", "ok"]
         assert retrying.stats.reconnects >= 1
         retrying.close()
-        with TcpServiceClient(address=address) as client:
-            client.shutdown()
-        thread.join(timeout=10.0)
+        stop(connect, thread)
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ReproError):
