@@ -962,30 +962,16 @@ def _final_solution_digest(
     Built from the solution alone (no recording of the run), so two
     engines printing the same string here would also produce recordings
     with identical ``final`` checkpoints — the cheap CI cross-check.
-    ``assignment`` may be a client→facility mapping or an ``(n,)`` array.
+    Takes the columnar engine's ``(m,)`` open mask and ``(n,)``
+    assignment array, or the dict engines' open-id set and
+    client→facility mapping.
     """
-    from repro.obs.recorder import Checkpoint
+    from repro.obs.recorder import client_array, facility_mask, final_checkpoint
 
-    open_set = {int(i) for i in open_facilities}
     if hasattr(assignment, "get"):
-        served = {int(j): int(f) for j, f in assignment.items()}
-        assigned = {
-            f"client:{j}": served.get(j, -1) for j in range(num_clients)
-        }
-    else:
-        assigned = {
-            f"client:{j}": int(assignment[j]) for j in range(num_clients)
-        }
-    checkpoint = Checkpoint.build(
-        "final",
-        {
-            "open": {
-                f"facility:{i}": i in open_set for i in range(num_facilities)
-            },
-            "assignment": assigned,
-        },
-    )
-    return checkpoint.digest
+        open_facilities = facility_mask(open_facilities, num_facilities)
+        assignment = client_array(assignment, num_clients)
+    return final_checkpoint(open_facilities, assignment).digest
 
 
 def _solve_instances(
@@ -1092,7 +1078,7 @@ def _cmd_solve_emulated(
             }
         )
         digest_inputs = (
-            result.open_facilities,
+            result.open_mask,
             result.assignment,
             result.instance.m,
             result.instance.n,

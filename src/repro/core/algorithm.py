@@ -395,8 +395,11 @@ class DistributedFacilityLocation:
             else:
                 assignment[j] = target
         if self.recorder is not None:
+            from repro.obs.recorder import client_array, facility_mask
+
             self.recorder.observe_final(
-                open_set, assignment, m, self.instance.num_clients
+                facility_mask(open_set, m),
+                client_array(assignment, self.instance.num_clients),
             )
         solution: FacilityLocationSolution | None = None
         if not unserved:

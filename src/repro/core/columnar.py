@@ -174,6 +174,13 @@ class ColumnarInstance:
         n = int(num_clients)
         if not np.all(np.isfinite(cost)) or (cost.size and float(cost.min()) < 0):
             raise AlgorithmError("columnar edges must have finite non-negative costs")
+        for ids, side, bound in ((fac_idx, "facility", m), (cli_idx, "client", n)):
+            if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= bound):
+                e = int(np.flatnonzero((ids < 0) | (ids >= bound))[0])
+                raise AlgorithmError(
+                    f"edge {e} (facility {int(fac_idx[e])}, client {int(cli_idx[e])}) "
+                    f"names {side} {int(ids[e])} outside [0, {bound})"
+                )
         counts = np.bincount(cli_idx, minlength=n)
         if n and int(counts.min()) < 1:
             j = int(np.flatnonzero(counts == 0)[0])
@@ -190,6 +197,15 @@ class ColumnarInstance:
         byc = np.lexsort((g_cli, g_fac))
         byc_cli = np.ascontiguousarray(g_cli[byc])
         byc_cost = np.ascontiguousarray(g_cost[byc])
+        # byc is (facility, client)-sorted and g_fac is facility-sorted, so
+        # a repeated pair sits at adjacent positions of the same segment.
+        repeated = (byc_cli[1:] == byc_cli[:-1]) & (g_fac[1:] == g_fac[:-1])
+        if repeated.any():
+            k = int(np.flatnonzero(repeated)[0])
+            raise AlgorithmError(
+                f"duplicate edge (facility {int(g_fac[k])}, client {int(byc_cli[k])}); "
+                "each (facility, client) pair may appear once"
+            )
         # Client side: (client, facility), with the permutation back into
         # greedy edge indices (the gather side of the columnar inbox).
         cli_order = np.lexsort((g_fac, g_cli))
@@ -616,47 +632,21 @@ def _dual_join_apply_phase(c0, c1, *, forced_mask, target, is_open) -> None:
 
 
 # ----------------------------------------------------------------------
-# Recorder checkpoints (parent-side in sharded mode)
+# Recorder witness lists (parent-side in sharded mode)
 # ----------------------------------------------------------------------
 
 
-def _record_greedy_checkpoint(recorder, label, is_open, assignment) -> None:
-    recorder.observe(
-        label,
-        {
-            "open": {f"facility:{i}": bool(v) for i, v in enumerate(is_open)},
-            "assignment": {f"client:{j}": int(v) for j, v in enumerate(assignment)},
-        },
-    )
+def _witness_lists(cinst: ColumnarInstance, witness) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client witness facilities as CSR ``(offsets, facility ids)``.
 
-
-def _record_dual_level_checkpoint(
-    recorder, level, cinst, alphas, frozen, witness, tight
-) -> None:
-    witness_lists: dict[str, list[int]] = {}
+    One gather over the client-ordered edges: ``cli_*`` sorts by facility
+    id within a client, so each list comes out ascending — matching the
+    reference engines' sorted sets.
+    """
     flags = witness[cinst.cli_edge]
-    for j in range(cinst.n):
-        lo, hi = int(cinst.cli_ptr[j]), int(cinst.cli_ptr[j + 1])
-        seg = flags[lo:hi]
-        # cli_* sorts by facility id within a client, so this list is
-        # ascending — matching the reference engines' sorted sets.
-        witness_lists[f"client:{j}"] = [int(f) for f in cinst.cli_fac[lo:hi][seg]]
-    recorder.observe(
-        f"dual:level:{level}",
-        {
-            "alpha": {f"client:{j}": float(v) for j, v in enumerate(alphas)},
-            "frozen": {f"client:{j}": bool(v) for j, v in enumerate(frozen)},
-            "witnesses": witness_lists,
-            "tight": {f"facility:{i}": bool(v) for i, v in enumerate(tight)},
-        },
-    )
-
-
-def _record_dual_rounding_checkpoint(recorder, is_open) -> None:
-    recorder.observe(
-        "dual:rounding",
-        {"open": {f"facility:{i}": bool(v) for i, v in enumerate(is_open)}},
-    )
+    running = np.zeros(cinst.num_edges + 1, dtype=np.int64)
+    np.cumsum(flags, out=running[1:])
+    return running[cinst.cli_ptr], cinst.cli_fac[flags]
 
 
 # ----------------------------------------------------------------------
@@ -690,7 +680,6 @@ def _greedy_columnar_arrays(
         "forced_target": np.zeros(n, dtype=np.int64),
     }
     for iteration in range(1, params.num_iterations + 1):
-        label = f"greedy:iter:{iteration}"
         scale = params.scale_of_iteration(iteration)
         if not state["active"].any():
             # No facility observes an active client: no coins, no traffic —
@@ -698,8 +687,8 @@ def _greedy_columnar_arrays(
             if ledger is not None:
                 ledger.greedy_iteration(0, 0, 0, 0, 0)
             if recorder is not None:
-                _record_greedy_checkpoint(
-                    recorder, label, state["is_open"], state["assignment"]
+                recorder.observe_greedy_iteration(
+                    iteration, state["is_open"], state["assignment"]
                 )
             continue
         active_edges = int(client_deg[state["active"]].sum()) if ledger is not None else 0
@@ -735,8 +724,8 @@ def _greedy_columnar_arrays(
                 int(state["is_open"].sum()) - open_before,
             )
         if recorder is not None:
-            _record_greedy_checkpoint(
-                recorder, label, state["is_open"], state["assignment"]
+            recorder.observe_greedy_iteration(
+                iteration, state["is_open"], state["assignment"]
             )
     if state["active"].any():
         if ledger is not None:
@@ -800,8 +789,8 @@ def _dual_columnar_arrays(
                 int(frozen.sum()) - frozen_before,
             )
         if recorder is not None:
-            _record_dual_level_checkpoint(
-                recorder, level, cinst, alphas, frozen, witness, tight
+            recorder.observe_dual_level(
+                level, alphas, frozen, tight, *_witness_lists(cinst, witness)
             )
     if not frozen.all():
         j = int(np.flatnonzero(~frozen)[0])
@@ -815,7 +804,7 @@ def _dual_columnar_arrays(
         alphas=alphas, target=target, is_open=is_open,
     )
     if recorder is not None:
-        _record_dual_rounding_checkpoint(recorder, is_open)
+        recorder.observe_dual_rounding(is_open)
     _dual_join_compute_phase(
         cinst, 0, n,
         witness=witness, is_open=is_open, target=target,
@@ -1172,11 +1161,8 @@ def _run_sharded(
                     else:
                         ledger.greedy_iteration(0, 0, 0, 0, 0)
                 if recorder is not None:
-                    _record_greedy_checkpoint(
-                        recorder,
-                        f"greedy:iter:{iteration}",
-                        arrays["is_open"],
-                        arrays["assignment"],
+                    recorder.observe_greedy_iteration(
+                        iteration, arrays["is_open"], arrays["assignment"]
                     )
                 active_remaining = int(arrays["active"].sum())
                 wait()
@@ -1205,10 +1191,9 @@ def _run_sharded(
                         int(arrays["frozen"].sum()) - frozen_before,
                     )
                 if recorder is not None:
-                    _record_dual_level_checkpoint(
-                        recorder, level, cinst,
-                        arrays["alphas"], arrays["frozen"],
-                        arrays["witness"], arrays["tight"],
+                    recorder.observe_dual_level(
+                        level, arrays["alphas"], arrays["frozen"], arrays["tight"],
+                        *_witness_lists(cinst, arrays["witness"]),
                     )
                 wait()
             if not arrays["frozen"].all():
@@ -1222,7 +1207,7 @@ def _run_sharded(
             wait()
             wait()
             if recorder is not None:
-                _record_dual_rounding_checkpoint(recorder, arrays["is_open"])
+                recorder.observe_dual_rounding(arrays["is_open"])
             wait()
             wait()
             if ledger is not None:
@@ -1420,12 +1405,7 @@ def solve_columnar(
             )
     wall = time.perf_counter() - start
     if recorder is not None:
-        recorder.observe_final(
-            {int(i) for i in np.flatnonzero(is_open)},
-            {int(j): int(assignment[j]) for j in range(cinst.n)},
-            cinst.m,
-            cinst.n,
-        )
+        recorder.observe_final(is_open, assignment)
     cost = _solution_cost(cinst, is_open, assignment)
     return ColumnarSolveResult(
         instance=cinst,

@@ -34,6 +34,7 @@ from repro.exceptions import AlgorithmError
 from repro.fl.instance import FacilityLocationInstance
 from repro.fl.solution import FacilityLocationSolution
 from repro.net.rng import spawn_node_rngs
+from repro.obs.recorder import client_array, facility_mask, list_field_arrays
 
 __all__ = ["ENGINES", "SequentialRunResult", "run_sequential"]
 
@@ -159,10 +160,8 @@ def run_sequential(
     assignment = dict(sorted(assignment.items()))
     if recorder is not None:
         recorder.observe_final(
-            open_set,
-            assignment,
-            instance.num_facilities,
-            instance.num_clients,
+            facility_mask(open_set, instance.num_facilities),
+            client_array(assignment, instance.num_clients),
         )
     solution = FacilityLocationSolution(
         instance, open_set, assignment, validate=True
@@ -180,19 +179,6 @@ def run_sequential(
 # ----------------------------------------------------------------------
 # Flagship: scaled parallel greedy
 # ----------------------------------------------------------------------
-
-
-def _record_greedy_state(recorder, label, is_open, connected, m, n) -> None:
-    """Digest one end-of-iteration greedy state into ``recorder``."""
-    recorder.observe(
-        label,
-        {
-            "open": {f"facility:{i}": is_open[i] for i in range(m)},
-            "assignment": {
-                f"client:{j}": connected.get(j, -1) for j in range(n)
-            },
-        },
-    )
 
 
 def _emulate_greedy(
@@ -229,7 +215,9 @@ def _emulate_greedy(
             # Facilities still observe no actives and draw no coins —
             # identical to the message run, where no ACTIVE arrives.
             if recorder is not None:
-                _record_greedy_state(recorder, label, is_open, connected, m, n)
+                recorder.observe_greedy_iteration(
+                    iteration, is_open, client_array(connected, n)
+                )
             continue
         active_set = set(active)
         proposals: dict[int, tuple[int, ...]] = {}
@@ -297,7 +285,9 @@ def _emulate_greedy(
                         facility=i,
                     )
         if recorder is not None:
-            _record_greedy_state(recorder, label, is_open, connected, m, n)
+            recorder.observe_greedy_iteration(
+                iteration, is_open, client_array(connected, n)
+            )
 
     # Force phase: leftover clients join the cheapest open neighbor, or
     # force their cheapest neighbor open. Decisions are made against the
@@ -382,23 +372,6 @@ def _best_star(
 # ----------------------------------------------------------------------
 # Variant: dual ascent
 # ----------------------------------------------------------------------
-
-
-def _record_dual_level(
-    recorder, level, alphas, frozen, witnesses, tight, m, n
-) -> None:
-    """Digest one end-of-level dual-ascent state into ``recorder``."""
-    recorder.observe(
-        f"dual:level:{level}",
-        {
-            "alpha": {f"client:{j}": alphas[j] for j in range(n)},
-            "frozen": {f"client:{j}": frozen[j] for j in range(n)},
-            "witnesses": {
-                f"client:{j}": sorted(witnesses[j]) for j in range(n)
-            },
-            "tight": {f"facility:{i}": tight[i] for i in range(m)},
-        },
-    )
 
 
 def _emulate_dual(
@@ -488,8 +461,8 @@ def _emulate_dual(
                         )
                     frozen[j] = True
         if recorder is not None:
-            _record_dual_level(
-                recorder, level, alphas, frozen, witnesses, tight, m, n
+            recorder.observe_dual_level(
+                level, alphas, frozen, tight, *list_field_arrays(witnesses)
             )
 
     # Rounding phase.
@@ -543,10 +516,7 @@ def _emulate_dual(
                     selectors=len(selectors),
                 )
     if recorder is not None:
-        recorder.observe(
-            "dual:rounding",
-            {"open": {f"facility:{i}": is_open[i] for i in range(m)}},
-        )
+        recorder.observe_dual_rounding(is_open)
 
     # Clients join the cheapest witness opened by the rounding coin flips;
     # leftovers force their cheapest witness open (deterministic fallback).

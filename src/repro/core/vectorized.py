@@ -45,19 +45,6 @@ from repro.net.rng import spawn_node_rngs
 __all__ = ["emulate_greedy_vectorized", "emulate_dual_vectorized"]
 
 
-def _record_greedy_iteration(recorder, label, is_open, assignment, m, n) -> None:
-    """Digest one end-of-iteration state (mirrors the loop engine's leaves)."""
-    recorder.observe(
-        label,
-        {
-            "open": {f"facility:{i}": bool(is_open[i]) for i in range(m)},
-            "assignment": {
-                f"client:{j}": int(assignment[j]) for j in range(n)
-            },
-        },
-    )
-
-
 def emulate_greedy_vectorized(
     instance: FacilityLocationInstance,
     params: TradeoffParameters,
@@ -85,15 +72,12 @@ def emulate_greedy_vectorized(
     priorities = np.empty(m, dtype=float)
 
     for iteration in range(1, params.num_iterations + 1):
-        label = f"greedy:iter:{iteration}"
         scale = params.scale_of_iteration(iteration)
         if not active.any():
             # Facilities observe no actives and draw no coins — identical
             # to the message run, where no ACTIVE message arrives.
             if recorder is not None:
-                _record_greedy_iteration(
-                    recorder, label, is_open, assignment, m, n
-                )
+                recorder.observe_greedy_iteration(iteration, is_open, assignment)
             continue
         # Star search: the largest qualifying prefix of each facility's
         # active clients. `mask` marks prefix slots holding an active
@@ -140,7 +124,7 @@ def emulate_greedy_vectorized(
         assignment[served] = best_fac[served]
         active &= ~served
         if recorder is not None:
-            _record_greedy_iteration(recorder, label, is_open, assignment, m, n)
+            recorder.observe_greedy_iteration(iteration, is_open, assignment)
 
     # Force phase: decisions are made against the open set as of the end
     # of the iterations (matching the PROBE round); forced openings land
@@ -196,25 +180,13 @@ def emulate_dual_vectorized(
         witnesses |= tight[:, None] & (costs <= alphas[None, :] * (1 + 1e-12))
         frozen = witnesses.any(axis=0)
         if recorder is not None:
-            recorder.observe(
-                f"dual:level:{level}",
-                {
-                    "alpha": {
-                        f"client:{j}": float(alphas[j]) for j in range(n)
-                    },
-                    "frozen": {
-                        f"client:{j}": bool(frozen[j]) for j in range(n)
-                    },
-                    "witnesses": {
-                        f"client:{j}": [
-                            int(i) for i in np.flatnonzero(witnesses[:, j])
-                        ]
-                        for j in range(n)
-                    },
-                    "tight": {
-                        f"facility:{i}": bool(tight[i]) for i in range(m)
-                    },
-                },
+            # Row-major nonzero of the transpose: (client, facility)
+            # pairs, clients ascending, facilities ascending within each.
+            clients, facilities = np.nonzero(witnesses.T)
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(clients, minlength=n), out=offsets[1:])
+            recorder.observe_dual_level(
+                level, alphas, frozen, tight, offsets, facilities
             )
 
     # Rounding phase: every client selects its cheapest witness.
@@ -247,10 +219,7 @@ def emulate_dual_vectorized(
             if rngs[i].random() < probability:
                 is_open[i] = True
     if recorder is not None:
-        recorder.observe(
-            "dual:rounding",
-            {"open": {f"facility:{i}": bool(is_open[i]) for i in range(m)}},
-        )
+        recorder.observe_dual_rounding(is_open)
 
     # Clients join the cheapest witness opened by the rounding coin flips;
     # leftovers force their cheapest witness open (deterministic fallback).

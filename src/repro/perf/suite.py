@@ -422,11 +422,14 @@ def _scale_solve_record(name: str, m: int, n: int, shards: int) -> dict[str, Any
 
     Measures end-to-end wall clock and tracemalloc peak (the gated
     ``mem_peak_kb`` budget), then re-solves with ``shards`` worker
-    processes and requires byte-equal solution arrays — so every rung
-    carries its own sharding-identity proof at full size, where the
-    flight recorder would be too heavy to afford.
+    processes and requires byte-equal solution arrays. Outside the timed
+    regions it records the solve at shards=1 and at ``shards`` and
+    requires equal flight-recorder final digests — so every rung carries
+    its own checkpoint-for-checkpoint sharding-identity proof at full
+    size.
     """
     from repro.core.columnar import ColumnarInstance, solve_columnar
+    from repro.obs.recorder import FlightRecorder, diff_recordings
     from repro.obs.spans import measure_peak_memory
 
     cinst = ColumnarInstance.generate_sparse(m, n, seed=_SCALE_SEED)
@@ -455,6 +458,19 @@ def _scale_solve_record(name: str, m: int, n: int, shards: int) -> dict[str, Any
     if not sharded_identical:
         raise ReproError(
             f"scale suite: shards={shards} solution diverged from shards=1 at {name}"
+        )
+    recordings = []
+    for count in (1, shards):
+        recorder = FlightRecorder(engine="columnar")
+        solve_columnar(
+            cinst, k=_SCALE_K, variant=Variant.GREEDY, seed=_SCALE_SEED,
+            shards=count, recorder=recorder,
+        )
+        recordings.append(recorder)
+    if recordings[0].final_digest() != recordings[1].final_digest():
+        raise ReproError(
+            f"scale suite: shards={shards} recording diverged from shards=1 at "
+            f"{name}\n{diff_recordings(*recordings).render()}"
         )
     return {
         "source": "perf-suite",

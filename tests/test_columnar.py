@@ -89,6 +89,32 @@ class TestColumnarInstance:
         } == dense.assignment
 
 
+class TestFromEdgesValidation:
+    """Malformed edge lists are refused, naming the offending edge."""
+
+    OPENING = np.array([1.0, 1.0])
+
+    def build(self, fac, cli, cost=None):
+        cost = np.full(len(fac), 0.5) if cost is None else np.asarray(cost)
+        return ColumnarInstance.from_edges(
+            self.OPENING, np.array(fac), np.array(cli), cost, num_clients=2
+        )
+
+    def test_facility_id_out_of_range(self):
+        with pytest.raises(AlgorithmError, match=r"edge 2 \(facility 2, client 1\)"):
+            self.build([0, 1, 2], [0, 1, 1])
+
+    def test_client_id_out_of_range(self):
+        with pytest.raises(AlgorithmError, match=r"edge 1 \(facility 1, client 2\)"):
+            self.build([0, 1, 0], [0, 2, 1])
+
+    def test_duplicate_edge(self):
+        # Solved as given, the repeated pair makes the columnar engine
+        # answer a different instance than to_instance() hands the loop.
+        with pytest.raises(AlgorithmError, match=r"duplicate edge \(facility 1, client 1\)"):
+            self.build([0, 1, 1, 0], [0, 1, 1, 1], [0.2, 0.4, 0.3, 0.9])
+
+
 class TestByteIdentity:
     """Solutions and recorder digests, three engines, shards 1 and 4."""
 

@@ -16,6 +16,7 @@ The recorder's whole value rests on three properties, each pinned here:
 
 from __future__ import annotations
 
+import base64
 import json
 import pickle
 
@@ -27,6 +28,7 @@ from repro.core.sequential_sim import run_sequential
 from repro.exceptions import ReproError
 from repro.fl.generators import make_instance
 from repro.obs.recorder import (
+    RECORDING_SCHEMA,
     FlightRecorder,
     canonical_value,
     diff_recordings,
@@ -144,10 +146,20 @@ class TestDivergenceBisection:
         payload = record_run(instance, engine="loop", k=4, seed=7).to_payload()
         checkpoint = payload["checkpoints"][0]
         field = next(iter(checkpoint["fields"]))
-        leaf = next(iter(checkpoint["fields"][field]))
-        checkpoint["fields"][field][leaf] = "tampered"
+        column = checkpoint["fields"][field]["columns"]["value"]
+        data = bytearray(base64.b64decode(column["data"]))
+        data[0] ^= 1
+        column["data"] = base64.b64encode(bytes(data)).decode("ascii")
         with pytest.raises(ReproError):
             FlightRecorder.from_payload(payload)
+
+    def test_retired_schema_is_named(self, instance):
+        payload = record_run(instance, engine="loop", k=4, seed=7).to_payload()
+        payload["schema"] = "repro.recording/v1"
+        with pytest.raises(ReproError) as excinfo:
+            FlightRecorder.from_payload(payload)
+        assert "repro.recording/v1" in str(excinfo.value)
+        assert RECORDING_SCHEMA in str(excinfo.value)
 
 
 class TestProvenance:
@@ -156,7 +168,7 @@ class TestProvenance:
         final = recording.checkpoints[-1]
         opened = [
             leaf
-            for leaf, value in final.fields["open"].items()
+            for leaf, value in final.leaves("open").items()
             if value == "true"
         ]
         assert opened

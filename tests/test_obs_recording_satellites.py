@@ -19,7 +19,7 @@ from repro.fl.io import save_instance_json
 from repro.obs.compare import extract_metrics
 from repro.obs.inspect import inspect_digests
 from repro.obs.metrics_io import histogram_quantile, snapshot_payload
-from repro.obs.recorder import record_run
+from repro.obs.recorder import load_recording, record_run
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Tracer
 from repro.obs.timeline import RoundTimelineEntry
@@ -118,14 +118,16 @@ class TestEngineTagging:
 
 def divergent_pair(tmp_path):
     """Two hand-built recordings differing in exactly one round-2 leaf."""
-    from repro.obs.recorder import FlightRecorder
+    from repro.obs.recorder import Field, FlightRecorder
 
     paths = []
     for name, value in (("left.json", 1.0), ("right.json", 2.0)):
         recorder = FlightRecorder(engine="loop")
-        recorder.observe("greedy:iter:1", {"open": {"facility:0": True}})
-        recorder.observe("greedy:iter:2", {"alpha": {"client:3": value}})
-        recorder.observe_final([0], {0: 0}, 2, 4)
+        recorder.observe("greedy:iter:1", {"open": Field.nodes("facility", [True])})
+        recorder.observe(
+            "greedy:iter:2", {"alpha": Field.nodes("client", [0.0, 0.0, 0.0, value])}
+        )
+        recorder.observe_final([True, False], [0, -1, -1, -1])
         paths.append(str(recorder.write_json(tmp_path / name)))
     return paths
 
@@ -183,11 +185,10 @@ class TestCliVerbs:
     def test_explain_walks_causal_chain(self, inst_path, tmp_path, capsys):
         full = self.record(inst_path, tmp_path, "full.json", "--full")
         solo = self.record(inst_path, tmp_path, "solo.json")
-        recording = json.loads(open(full).read())
-        final = recording["checkpoints"][-1]
+        final = load_recording(full).checkpoints[-1]
         opened = next(
             leaf
-            for leaf, value in final["fields"]["open"].items()
+            for leaf, value in final.leaves("open").items()
             if value == "true"
         )
         capsys.readouterr()

@@ -20,6 +20,7 @@ from repro.core.algorithm import solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.fl.generators import make_instance
 from repro.obs.manifest import RunRecord
+from repro.obs.recorder import RECORDING_SCHEMA
 from repro.perf.cache import clear_caches
 from repro.perf.executor import SweepExecutor
 from repro.service import ServiceClient, SolveService
@@ -217,7 +218,7 @@ class TestServedEqualsDirect:
             a, b = plain[spec["rid"]], recorded[spec["rid"]]
             assert a.status == b.status == "ok"
             assert not a.recording
-            assert b.recording["schema"] == "repro.recording/v1"
+            assert b.recording["schema"] == RECORDING_SCHEMA
             assert json.dumps(dict(a.result), sort_keys=True) == json.dumps(
                 dict(b.result), sort_keys=True
             )
