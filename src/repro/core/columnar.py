@@ -43,9 +43,10 @@ digests — at every shard count:
   first-extremum scan returns.
 * Coin flips come from the same per-node ``SeedSequence`` streams
   (:func:`~repro.net.rng.spawn_node_rng_range`); only facilities ever
-  draw, so a million-node run builds only ``m`` generators, and a shard
-  builds only its slice — streams identical to the full spawn by the
-  spawn-key prefix property.
+  draw, so a million-node run builds only ``m`` generators (none at all
+  for dual ascent under ``select_all`` rounding, which flips no coin),
+  and a shard builds only its slice — streams identical to the full
+  spawn by the spawn-key prefix property.
 * Shard boundaries never reorder arithmetic: every kernel reads shared
   state only between barriers and writes only its own slice (plus
   idempotent single-byte ``True`` scatters in the two force/join apply
@@ -60,7 +61,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from multiprocessing import shared_memory
 from typing import Any, Callable
 
@@ -94,6 +96,11 @@ _TEST_COLUMNAR_DUAL_ALPHA_RAISE_HOOK: Callable[[int, int, float], float] | None 
 
 #: A barrier wait exceeding this is treated as a dead shard, not a slow one.
 _BARRIER_TIMEOUT_S = 600.0
+
+#: Exclusive bound on facilities, clients and edges of one instance: the
+#: products in :meth:`ColumnarInstance.from_edges`'s packed sort keys stay
+#: below ``2**62`` under it.
+_MAX_PLANE_SIZE = 1 << 31
 
 
 # ----------------------------------------------------------------------
@@ -165,14 +172,57 @@ class ColumnarInstance:
         num_clients: int,
         name: str = "columnar",
     ) -> "ColumnarInstance":
-        """Build the dual-ordered CSR plane from an edge triplet list."""
+        """Build the dual-ordered CSR plane from an edge triplet list.
+
+        No lexicographic sort is needed. The (cost, client) order is one
+        ``np.argsort`` of the costs, with ties then broken by a stable sort
+        of the packed int64 key ``dense_cost_rank * n + client``. Every
+        other ordering is a *stable* sort, by a single id, of an ordering
+        already built, done as a value sort of the packed int64 key
+        ``id * E + position`` (``E`` edges; see :func:`_stable_order`):
+
+        * greedy (facility, cost, client) — the (cost, client) order
+          stably sorted by facility;
+        * client side (client, facility) — the facility-major greedy order
+          stably sorted by client, so the positions it yields are
+          ``cli_edge`` itself;
+        * ``byc`` (facility, client) — the client side stably sorted by
+          facility; a repeated pair shows up as two adjacent equal entries.
+
+        Keys stay below ``2**62`` while ``m``, ``n`` and ``E`` are below
+        ``2**31``; larger instances are refused before anything is
+        allocated.
+        """
         opening = np.ascontiguousarray(opening, dtype=np.float64)
         fac_idx = np.asarray(fac_idx, dtype=np.int64)
         cli_idx = np.asarray(cli_idx, dtype=np.int64)
         cost = np.asarray(cost, dtype=np.float64)
+        if opening.ndim != 1:
+            raise AlgorithmError(f"opening costs must be 1-D, got shape {opening.shape}")
+        if fac_idx.ndim != 1 or cli_idx.ndim != 1 or cost.ndim != 1:
+            raise AlgorithmError(
+                "edge arrays must be 1-D, got shapes "
+                f"{fac_idx.shape}, {cli_idx.shape}, {cost.shape}"
+            )
+        if not fac_idx.shape == cli_idx.shape == cost.shape:
+            raise AlgorithmError(
+                "edge arrays must have equal lengths, got "
+                f"{fac_idx.shape[0]}, {cli_idx.shape[0]}, {cost.shape[0]}"
+            )
         m = int(opening.shape[0])
         n = int(num_clients)
-        if not np.all(np.isfinite(cost)) or (cost.size and float(cost.min()) < 0):
+        num_edges = int(cost.shape[0])
+        for count, what in ((m, "facilities"), (n, "clients"), (num_edges, "edges")):
+            if count >= _MAX_PLANE_SIZE:
+                raise AlgorithmError(
+                    f"{count} {what} reach the columnar limit of 2**31 "
+                    "(the packed int64 sort keys would overflow)"
+                )
+        if not np.all(np.isfinite(opening)):
+            raise AlgorithmError("opening costs must be finite")
+        if m and float(opening.min()) < 0:
+            raise AlgorithmError("opening costs must be non-negative")
+        if not np.all(np.isfinite(cost)) or (num_edges and float(cost.min()) < 0):
             raise AlgorithmError("columnar edges must have finite non-negative costs")
         for ids, side, bound in ((fac_idx, "facility", m), (cli_idx, "client", n)):
             if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= bound):
@@ -181,22 +231,42 @@ class ColumnarInstance:
                     f"edge {e} (facility {int(fac_idx[e])}, client {int(cli_idx[e])}) "
                     f"names {side} {int(ids[e])} outside [0, {bound})"
                 )
-        counts = np.bincount(cli_idx, minlength=n)
-        if n and int(counts.min()) < 1:
-            j = int(np.flatnonzero(counts == 0)[0])
+        client_deg = np.bincount(cli_idx, minlength=n)
+        if n and int(client_deg.min()) < 1:
+            j = int(np.flatnonzero(client_deg == 0)[0])
             raise AlgorithmError(f"client {j} has no facility edge; instance infeasible")
-        # Greedy order: (facility, cost, client). lexsort keys are listed
-        # least-significant first and the sort is stable.
-        greedy = np.lexsort((cli_idx, cost, fac_idx))
-        g_fac = np.ascontiguousarray(fac_idx[greedy])
-        g_cli = np.ascontiguousarray(cli_idx[greedy])
-        g_cost = np.ascontiguousarray(cost[greedy])
+        cli_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(client_deg, out=cli_ptr[1:])
         fac_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(g_fac, minlength=m), out=fac_ptr[1:])
-        # Client order within each facility segment: (facility, client).
-        byc = np.lexsort((g_cli, g_fac))
-        byc_cli = np.ascontiguousarray(g_cli[byc])
-        byc_cost = np.ascontiguousarray(g_cost[byc])
+        np.cumsum(np.bincount(fac_idx, minlength=m), out=fac_ptr[1:])
+        # (cost, client) order: sort the costs, rank equal costs densely
+        # (0.0 and -0.0 compare equal, so they share a rank), then break
+        # ties by client. That second key is already sorted outside runs
+        # of equal cost, which a stable (merge-based) sort passes over fast.
+        by_rank = np.argsort(cost)
+        sorted_cost = cost[by_rank]
+        dense = np.zeros(num_edges, dtype=np.int64)
+        np.cumsum(sorted_cost[1:] != sorted_cost[:-1], out=dense[1:])
+        del sorted_cost
+        dense *= n
+        dense += cli_idx[by_rank]
+        by_rank = by_rank[np.argsort(dense, kind="stable")]
+        del dense
+        greedy = by_rank[_stable_order(fac_idx[by_rank])]
+        del by_rank
+        g_fac = np.repeat(np.arange(m, dtype=np.int64), np.diff(fac_ptr))
+        g_cli = cli_idx[greedy]
+        g_cost = cost[greedy]
+        del greedy
+        # Client side, as greedy edge indices (the gather side of the
+        # columnar inbox).
+        cli_edge = _stable_order(g_cli)
+        cli_fac = g_fac[cli_edge]
+        cli_cost = g_cost[cli_edge]
+        byc = _stable_order(cli_fac)
+        byc_cli = np.repeat(np.arange(n, dtype=np.int64), client_deg)[byc]
+        byc_cost = cli_cost[byc]
+        del byc
         # byc is (facility, client)-sorted and g_fac is facility-sorted, so
         # a repeated pair sits at adjacent positions of the same segment.
         repeated = (byc_cli[1:] == byc_cli[:-1]) & (g_fac[1:] == g_fac[:-1])
@@ -206,13 +276,6 @@ class ColumnarInstance:
                 f"duplicate edge (facility {int(g_fac[k])}, client {int(byc_cli[k])}); "
                 "each (facility, client) pair may appear once"
             )
-        # Client side: (client, facility), with the permutation back into
-        # greedy edge indices (the gather side of the columnar inbox).
-        cli_order = np.lexsort((g_fac, g_cli))
-        cli_fac = np.ascontiguousarray(g_fac[cli_order])
-        cli_cost = np.ascontiguousarray(g_cost[cli_order])
-        cli_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(g_cli, minlength=n), out=cli_ptr[1:])
         return cls(
             m=m,
             n=n,
@@ -226,7 +289,7 @@ class ColumnarInstance:
             cli_ptr=cli_ptr,
             cli_fac=cli_fac,
             cli_cost=cli_cost,
-            cli_edge=np.ascontiguousarray(cli_order, dtype=np.int64),
+            cli_edge=cli_edge,
             name=str(name),
         )
 
@@ -295,32 +358,67 @@ class ColumnarInstance:
 
     def padded(self, f0: int, f1: int) -> "_PaddedSlice":
         """Degree-padded 2-D edge views for the facility slice ``[f0, f1)``."""
-        ptr = self.fac_ptr
-        deg = ptr[f0 + 1 : f1 + 1] - ptr[f0:f1]
-        width = int(deg.max()) if deg.size else 0
-        idx = ptr[f0:f1, None] + np.arange(width, dtype=np.int64)[None, :]
-        valid = np.arange(width)[None, :] < deg[:, None]
-        safe = np.minimum(idx, max(self.num_edges - 1, 0))
-        return _PaddedSlice(
-            valid=valid,
-            g_cost=np.where(valid, self.g_cost[safe], 0.0),
-            g_cli=np.where(valid, self.g_cli[safe], 0),
-            byc_cost=np.where(valid, self.byc_cost[safe], 0.0),
-            byc_cli=np.where(valid, self.byc_cli[safe], 0),
-            degrees=deg,
-        )
+        return _PaddedSlice(self, f0, f1)
 
 
-@dataclass(frozen=True)
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """The permutation that stably sorts the int64 ``ids`` (all < 2**31).
+
+    The packed keys ``ids * len + position`` are unique and sort exactly
+    as (id, position), so a plain value sort of them — several times
+    cheaper than ``np.argsort`` — leaves the stable order in their low
+    part.
+    """
+    size = ids.shape[0]
+    key = ids * size
+    key += np.arange(size, dtype=np.int64)
+    key.sort()
+    key %= max(size, 1)
+    return key
+
+
 class _PaddedSlice:
-    """Per-facility-slice padded 2-D edge arrays (one row per facility)."""
+    """Per-facility-slice padded 2-D edge arrays (one row per facility).
 
-    valid: np.ndarray  # (ms, D) bool — real-edge slots
-    g_cost: np.ndarray  # (ms, D) greedy-order costs, 0.0 padded
-    g_cli: np.ndarray  # (ms, D) greedy-order client ids, 0 padded
-    byc_cost: np.ndarray  # (ms, D) client-order costs, 0.0 padded
-    byc_cli: np.ndarray  # (ms, D) client-order client ids, 0 padded
-    degrees: np.ndarray  # (ms,) real degrees
+    ``valid`` marks the real-edge slots. Each edge plane (0 / 0.0 padded)
+    is built on first use, so a kernel pays only for the planes it reads:
+    greedy reads the ``g_*`` pair, dual ascent the ``byc_*`` pair.
+    """
+
+    def __init__(self, cinst: ColumnarInstance, f0: int, f1: int) -> None:
+        ptr = cinst.fac_ptr
+        self.degrees = ptr[f0 + 1 : f1 + 1] - ptr[f0:f1]  # (ms,) real degrees
+        width = int(self.degrees.max()) if self.degrees.size else 0
+        self.valid = np.arange(width)[None, :] < self.degrees[:, None]  # (ms, D)
+        self._cinst = cinst
+        self._edges = slice(int(ptr[f0]), int(ptr[f1]))
+
+    def _plane(self, column: np.ndarray) -> np.ndarray:
+        # The real slots of a row are a prefix of it, so the slots of
+        # ``valid`` in row-major order are the slice's edges in CSR order.
+        out = np.zeros(self.valid.shape, dtype=column.dtype)
+        out[self.valid] = column[self._edges]
+        return out
+
+    @cached_property
+    def g_cost(self) -> np.ndarray:
+        """Greedy-order costs."""
+        return self._plane(self._cinst.g_cost)
+
+    @cached_property
+    def g_cli(self) -> np.ndarray:
+        """Greedy-order client ids."""
+        return self._plane(self._cinst.g_cli)
+
+    @cached_property
+    def byc_cost(self) -> np.ndarray:
+        """Client-order costs."""
+        return self._plane(self._cinst.byc_cost)
+
+    @cached_property
+    def byc_cli(self) -> np.ndarray:
+        """Client-order client ids."""
+        return self._plane(self._cinst.byc_cli)
 
 
 # ----------------------------------------------------------------------
@@ -335,17 +433,17 @@ def columnar_efficiency_range(cinst: ColumnarInstance) -> tuple[float, float]:
     facility's sorted finite costs; the greedy edge order is that same
     ascending cost sequence, so the padded-2-D cumsum reproduces every
     prefix value exactly (identical float multiset in identical order),
-    and min/max are order-independent.
+    and min/max are order-independent. Only the greedy cost plane is
+    built.
     """
     pad = cinst.padded(0, cinst.m)
     if not pad.valid.any():
         raise AlgorithmError("instance has no facility-client edge")
-    prefix = np.cumsum(np.where(pad.valid, pad.g_cost, 0.0), axis=1)
-    sizes = np.arange(1, pad.valid.shape[1] + 1)
-    ratios = (cinst.opening[:, None] + prefix) / sizes
+    ratios = np.cumsum(pad.g_cost, axis=1)
+    ratios += cinst.opening[:, None]
+    ratios /= np.arange(1, ratios.shape[1] + 1)
     eff_min = float(ratios[pad.valid].min())
-    has_edges = pad.degrees > 0
-    rows = np.flatnonzero(has_edges)
+    rows = np.flatnonzero(pad.degrees)
     last = pad.g_cost[rows, pad.degrees[rows] - 1]
     eff_max = float((cinst.opening[rows] + last).max())
     eff_max = max(eff_max, eff_min, 1e-300)
@@ -579,9 +677,13 @@ def _dual_client_select_phase(cinst, c0, c1, *, witness, target) -> None:
 
 
 def _dual_facility_round_phase(
-    cinst, pad, params, policy, rngs, f0, f1, *, alphas, target, is_open
+    cinst, pad, params, policy, seed, f0, f1, *, alphas, target, is_open
 ) -> None:
-    """Rounding coin flips for ``[f0, f1)`` given full selections."""
+    """Rounding coin flips for ``[f0, f1)`` given full selections.
+
+    Only ``randomized`` rounding flips coins, so only it builds the
+    slice's node streams; ``select_all`` opens every selected facility.
+    """
     if f1 <= f0:
         return
     fac_ids = np.arange(f0, f1, dtype=np.int64)[:, None]
@@ -598,6 +700,7 @@ def _dual_facility_round_phase(
     else:
         mass = np.zeros(f1 - f0)
     factor = policy.c_round * math.log(max(params.num_nodes, 2))
+    rngs = spawn_node_rng_range(seed, f0, f1)
     for local in np.flatnonzero(has_selectors):
         probability = min(
             1.0,
@@ -754,7 +857,6 @@ def _dual_columnar_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     m, n = cinst.m, cinst.n
     pad = cinst.padded(0, m)
-    rngs = spawn_node_rng_range(seed, 0, m)
     hook = _TEST_COLUMNAR_DUAL_ALPHA_RAISE_HOOK
     lo, hi, starts, lengths = _client_segments(cinst, 0, n)
     gamma = np.minimum.reduceat(cinst.cli_cost, starts)
@@ -800,7 +902,7 @@ def _dual_columnar_arrays(
         )
     _dual_client_select_phase(cinst, 0, n, witness=witness, target=target)
     _dual_facility_round_phase(
-        cinst, pad, params, policy, rngs, 0, m,
+        cinst, pad, params, policy, seed, 0, m,
         alphas=alphas, target=target, is_open=is_open,
     )
     if recorder is not None:
@@ -938,8 +1040,8 @@ def _shard_worker(
         f0, f1 = ranges_f[shard]
         c0, c1 = ranges_c[shard]
         pad = cinst.padded(f0, f1)
-        rngs = spawn_node_rng_range(seed, f0, f1)
         if variant is Variant.GREEDY:
+            rngs = spawn_node_rng_range(seed, f0, f1)
             for iteration in range(1, params.num_iterations + 1):
                 scale = params.scale_of_iteration(iteration)
                 busy = arrays["active"].any()
@@ -1029,7 +1131,7 @@ def _shard_worker(
             )
             barrier.wait(_BARRIER_TIMEOUT_S)
             _dual_facility_round_phase(
-                cinst, pad, params, policy, rngs, f0, f1,
+                cinst, pad, params, policy, seed, f0, f1,
                 alphas=arrays["alphas"], target=arrays["target"],
                 is_open=arrays["is_open"],
             )
@@ -1435,16 +1537,17 @@ def _solution_cost(cinst: ColumnarInstance, is_open, assignment) -> float:
         raise AlgorithmError(
             f"client {j} assigned to closed facility {int(assignment[j])}"
         )
-    # Find each client's edge to its assigned facility by binary search
-    # within its (facility-sorted) client segment.
+    # Find each client's edge to its assigned facility by scanning its
+    # client segment slot by slot: one pass per slot up to the largest
+    # client degree, each vectorized over a block of clients.
     lo = cinst.cli_ptr[:-1]
     hi = cinst.cli_ptr[1:]
     positions = np.empty(cinst.n, dtype=np.int64)
     for j in range(0, cinst.n, 1 << 20):
         stop = min(j + (1 << 20), cinst.n)
         block = slice(j, stop)
-        # searchsorted per segment, vectorized over one block at a time to
-        # bound the temporary: offsets into the global edge array.
+        # Blocks of 2**20 clients bound the temporaries; positions are
+        # offsets into the global edge array.
         seg_lo = lo[block]
         seg_hi = hi[block]
         found = np.full(stop - j, -1, dtype=np.int64)

@@ -15,9 +15,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.columnar as columnar
 from repro.core.columnar import ColumnarInstance, solve_columnar
+from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.sequential_sim import run_sequential
 from repro.exceptions import AlgorithmError, ReproError
 from repro.fl.generators import make_instance
@@ -113,6 +116,201 @@ class TestFromEdgesValidation:
         # answer a different instance than to_instance() hands the loop.
         with pytest.raises(AlgorithmError, match=r"duplicate edge \(facility 1, client 1\)"):
             self.build([0, 1, 1, 0], [0, 1, 1, 1], [0.2, 0.4, 0.3, 0.9])
+
+    def test_first_duplicate_in_facility_client_order_is_named(self):
+        with pytest.raises(AlgorithmError, match=r"duplicate edge \(facility 0, client 1\)"):
+            self.build([1, 1, 0, 0, 0], [0, 0, 1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "opening, message",
+        [
+            ([np.nan, 1.0], "must be finite"),
+            ([np.nan, -1.0], "must be finite"),
+            ([1.0, np.inf], "must be finite"),
+            ([1.0, -1.0], "must be non-negative"),
+            ([[1.0, 1.0]], "must be 1-D"),
+        ],
+    )
+    def test_bad_opening_costs(self, opening, message):
+        # A NaN opening cost used to be accepted and solved to cost nan.
+        with pytest.raises(AlgorithmError, match=message):
+            ColumnarInstance.from_edges(
+                np.array(opening), [0, 0], [0, 1], [0.5, 0.5], num_clients=2
+            )
+
+    def test_edge_arrays_must_be_one_dimensional(self):
+        with pytest.raises(AlgorithmError, match="1-D"):
+            self.build(np.array([[0, 1]]), np.array([[0, 1]]), np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "fac, cli, cost",
+        [([0, 1, 1], [0, 1], [0.5, 0.5]), ([0, 1], [0, 1], [0.5, 0.5, 0.5])],
+    )
+    def test_edge_arrays_must_have_equal_lengths(self, fac, cli, cost):
+        with pytest.raises(AlgorithmError, match="equal lengths"):
+            self.build(fac, cli, cost)
+
+    def test_size_guard_refuses_before_allocating(self, monkeypatch):
+        # A client-sized array would take 16 GiB here: fail the test
+        # instead of allocating if any is asked for before the guard.
+        def refuse(*args, **kwargs):
+            raise AssertionError("client-sized allocation before the size guard")
+
+        monkeypatch.setattr(np, "bincount", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(AlgorithmError, match=r"clients reach the columnar limit of 2\*\*31"):
+            ColumnarInstance.from_edges([1.0], [0], [0], [0.5], num_clients=2**31)
+
+
+def _lexsort_reference(opening, fac_idx, cli_idx, cost, num_clients):
+    """The CSR build as three lexsorts: the definition the fast build meets."""
+    opening = np.ascontiguousarray(opening, dtype=np.float64)
+    fac_idx = np.asarray(fac_idx, dtype=np.int64)
+    cli_idx = np.asarray(cli_idx, dtype=np.int64)
+    cost = np.asarray(cost, dtype=np.float64)
+    m, n = int(opening.shape[0]), int(num_clients)
+    for ids, side, bound in ((fac_idx, "facility", m), (cli_idx, "client", n)):
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= bound):
+            e = int(np.flatnonzero((ids < 0) | (ids >= bound))[0])
+            raise AlgorithmError(
+                f"edge {e} (facility {int(fac_idx[e])}, client {int(cli_idx[e])}) "
+                f"names {side} {int(ids[e])} outside [0, {bound})"
+            )
+    counts = np.bincount(cli_idx, minlength=n)
+    if n and int(counts.min()) < 1:
+        j = int(np.flatnonzero(counts == 0)[0])
+        raise AlgorithmError(f"client {j} has no facility edge; instance infeasible")
+    greedy = np.lexsort((cli_idx, cost, fac_idx))
+    g_fac, g_cli, g_cost = fac_idx[greedy], cli_idx[greedy], cost[greedy]
+    fac_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g_fac, minlength=m), out=fac_ptr[1:])
+    byc = np.lexsort((g_cli, g_fac))
+    byc_cli, byc_cost = g_cli[byc], g_cost[byc]
+    repeated = (byc_cli[1:] == byc_cli[:-1]) & (g_fac[1:] == g_fac[:-1])
+    if repeated.any():
+        k = int(np.flatnonzero(repeated)[0])
+        raise AlgorithmError(
+            f"duplicate edge (facility {int(g_fac[k])}, client {int(byc_cli[k])}); "
+            "each (facility, client) pair may appear once"
+        )
+    cli_order = np.lexsort((g_fac, g_cli))
+    cli_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g_cli, minlength=n), out=cli_ptr[1:])
+    return {
+        "opening": opening, "fac_ptr": fac_ptr, "g_fac": g_fac, "g_cli": g_cli,
+        "g_cost": g_cost, "byc_cli": byc_cli, "byc_cost": byc_cost,
+        "cli_ptr": cli_ptr, "cli_fac": g_fac[cli_order],
+        "cli_cost": g_cost[cli_order], "cli_edge": cli_order.astype(np.int64),
+    }
+
+
+#: Few distinct values, signed zeros among them, so exact cost ties within
+#: and across facilities are the common case.
+_TIE_COSTS = (0.0, -0.0, 0.25, 0.5, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def _edge_lists(draw, faulty: bool = False):
+    """Shuffled edge triplets of a tiny instance; every client has an edge.
+
+    With ``faulty``, some edges repeat a pair or name an id out of range.
+    """
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=7))
+    cost_value = st.one_of(
+        st.sampled_from(_TIE_COSTS),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    )
+    edges = []
+    for j in range(n):
+        # Facilities may end up with no edge; clients may have just one.
+        facs = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
+        edges.extend((i, j, draw(cost_value)) for i in sorted(facs))
+    if faulty:
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            i, j, _ = draw(st.sampled_from(edges))
+            edges.append(draw(st.sampled_from([
+                (i, j, draw(cost_value)),
+                (m + draw(st.integers(0, 2)), j, 0.5),
+                (i, n + draw(st.integers(0, 2)), 0.5),
+                (-1, j, 0.5),
+            ])))
+    edges = draw(st.permutations(edges))
+    opening = draw(st.lists(
+        st.sampled_from((0.0, 0.5, 1.0, 2.0)), min_size=m, max_size=m
+    ))
+    fac, cli, cost = (list(column) for column in zip(*edges))
+    return (
+        np.array(opening),
+        np.array(fac, dtype=np.int64),
+        np.array(cli, dtype=np.int64),
+        np.array(cost, dtype=np.float64),
+        n,
+    )
+
+
+_BUILD_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestFromEdgesDifferential:
+    """The packed-key build against the lexsort definition, column by column."""
+
+    @_BUILD_SETTINGS
+    @given(_edge_lists())
+    def test_columns_match_lexsort_reference(self, case):
+        *arrays, n = case
+        built = ColumnarInstance.from_edges(*arrays, num_clients=n)
+        reference = _lexsort_reference(*arrays, num_clients=n)
+        assert built.m == arrays[0].shape[0] and built.n == n
+        for name, expected in reference.items():
+            got = getattr(built, name)
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
+            # Bytes too: array_equal cannot tell 0.0 from -0.0.
+            assert got.tobytes() == expected.tobytes(), name
+
+    @_BUILD_SETTINGS
+    @given(_edge_lists(faulty=True))
+    def test_refusals_name_the_same_edge(self, case):
+        *arrays, n = case
+        with pytest.raises(AlgorithmError) as expected:
+            _lexsort_reference(*arrays, num_clients=n)
+        with pytest.raises(AlgorithmError) as got:
+            ColumnarInstance.from_edges(*arrays, num_clients=n)
+        assert str(got.value) == str(expected.value)
+
+
+class TestNodeStreams:
+    """Per-facility coin streams are built only where coins are flipped."""
+
+    @pytest.fixture
+    def spawns(self, monkeypatch):
+        calls = []
+        spawn = columnar.spawn_node_rng_range
+
+        def counting(seed, start, stop):
+            calls.append((start, stop))
+            return spawn(seed, start, stop)
+
+        monkeypatch.setattr(columnar, "spawn_node_rng_range", counting)
+        return calls
+
+    def test_select_all_dual_builds_no_stream(self, spawns):
+        cinst = ColumnarInstance.generate_sparse(12, 60, seed=5)
+        result = solve_columnar(cinst, k=6, variant="dual_ascent", seed=2)
+        assert result.feasible
+        assert spawns == []
+
+    def test_coin_flipping_solves_build_facility_streams(self, spawns):
+        cinst = ColumnarInstance.generate_sparse(12, 60, seed=5)
+        solve_columnar(
+            cinst, k=6, variant="dual_ascent", seed=2,
+            rounding=RoundingPolicy(mode="randomized"),
+        )
+        solve_columnar(cinst, k=6, variant="greedy", seed=2)
+        assert spawns == [(0, 12), (0, 12)]
 
 
 class TestByteIdentity:
